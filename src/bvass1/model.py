@@ -136,6 +136,22 @@ class Bvass1:
             out[t.source].append(i)
         return tuple(tuple(v) for v in out)
 
+    @cached_property
+    def branch_pairs_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """Per source state, the (left, right) pairs of its branching transitions."""
+        out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_states)]
+        for t in self.branching:
+            out[t.source].add((t.left, t.right))
+        return tuple(frozenset(v) for v in out)
+
+    @cached_property
+    def unary_moves_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """Per source state, the (shift, target) moves of its unary transitions."""
+        out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_states)]
+        for t in self.unary:
+            out[t.source].add((t.delta, t.target))
+        return tuple(frozenset(v) for v in out)
+
     def successors(self, state: int) -> set[int]:
         """States directly enterable from ``state`` by any transition."""
         out: set[int] = set()
@@ -321,31 +337,89 @@ class NodeClassification:
     decreasing: frozenset[str]
 
 
-def classify_nodes(tree: PartialTree) -> NodeClassification:
-    increasing: set[str] = set()
-    decreasing: set[str] = set()
-    anchor_of: dict[str, str] = {}
+def _anchor_walk(tree: PartialTree) -> tuple[dict[str, str], set[str], bool]:
+    """Anchors, decreasing nodes and exclusivity in one pre-order walk.
+
+    Returns (anchor_of, decreasing, exclusive).  Sorting lists a string
+    before its extensions and keeps each node's descendants contiguous,
+    so a stack of open prefixes holds exactly the present ancestors of
+    the current node; no prefix-closed domain is assumed.
+
+    Per state, the open same-state ancestors form a chain carrying a
+    running counter maximum (a larger ancestor makes a node decreasing)
+    and previous-smaller links with binary lifting: the anchor is the
+    first strictly smaller entry on the link chain from the deepest
+    same-state ancestor, found in O(log depth).
+
+    Exclusivity holds iff the pumping paths (anchor down to increasing
+    leaf) are pairwise node-disjoint, i.e. no node has two increasing
+    leaves at or below it whose anchors are at or above it.  Reverse
+    pre-order sums that count bottom-up: a child passes up its count less
+    the leaves anchored at the child itself.
+    """
     labels = tree.labels
-    for addr in tree.addresses():
+    order = sorted(labels)
+    n = len(order)
+    counter = [0] * n
+    run_max = [0] * n
+    up: list = [()] * n  # up[i][k]: the 2^k-th previous-smaller entry of i
+    parent = [-1] * n  # nearest present ancestor
+    ends = [0] * n  # increasing leaves anchored at i
+    inc_leaves: list[int] = []
+    chains: dict[int, list[int]] = {}  # per state, its open nodes
+    stack: list[int] = []
+    open_chains: list[list[int]] = []  # the chain each stack entry sits on
+    anchor_of: dict[str, str] = {}
+    decreasing: set[str] = set()
+    for i, addr in enumerate(order):
+        while stack and not addr.startswith(order[stack[-1]]):
+            stack.pop()
+            open_chains.pop().pop()
+        if stack:
+            parent[i] = stack[-1]
         cfg = labels[addr]
-        is_decreasing = False
-        # Walk ancestors from deepest to the root; the first qualifying
-        # ancestor is the maximal (deepest) anchor.
-        for k in range(len(addr) - 1, -1, -1):
-            anc = labels[addr[:k]] if addr[:k] in labels else None
-            if anc is None:
-                continue
-            if anc.state == cfg.state:
-                if anc.counter < cfg.counter and addr not in increasing:
-                    increasing.add(addr)
-                    anchor_of[addr] = addr[:k]
-                elif anc.counter > cfg.counter:
-                    is_decreasing = True
-            if addr in increasing and is_decreasing:
-                break
-        if is_decreasing:
-            decreasing.add(addr)
-    return NodeClassification(frozenset(increasing), anchor_of, frozenset(decreasing))
+        v = cfg.counter
+        counter[i] = v
+        run_max[i] = v
+        chain = chains.get(cfg.state)
+        if chain is None:
+            chain = chains[cfg.state] = []
+        elif chain:
+            j = chain[-1]
+            if run_max[j] > v:
+                decreasing.add(addr)
+                run_max[i] = run_max[j]
+            if counter[j] >= v:
+                for k in range(len(up[j]) - 1, -1, -1):
+                    if k < len(up[j]) and counter[up[j][k]] >= v:
+                        j = up[j][k]
+                j = up[j][0] if up[j] else -1
+            if j >= 0:
+                anchor_of[addr] = order[j]
+                jumps = [j]
+                while len(up[jumps[-1]]) >= len(jumps):
+                    jumps.append(up[jumps[-1]][len(jumps) - 1])
+                up[i] = jumps
+                if addr + "0" not in labels and addr + "1" not in labels:
+                    inc_leaves.append(i)
+                    ends[j] += 1
+        chain.append(i)
+        stack.append(i)
+        open_chains.append(chain)
+    count = [0] * n  # increasing leaves at or below i anchored at or above i
+    for i in inc_leaves:
+        count[i] = 1
+    for i in range(n - 1, -1, -1):
+        if count[i] > 1:
+            return anchor_of, decreasing, False
+        if count[i] and parent[i] >= 0:
+            count[parent[i]] += count[i] - ends[i]
+    return anchor_of, decreasing, True
+
+
+def classify_nodes(tree: PartialTree) -> NodeClassification:
+    anchor_of, decreasing, _ = _anchor_walk(tree)
+    return NodeClassification(frozenset(anchor_of), anchor_of, frozenset(decreasing))
 
 
 def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[bool, Optional[str], str]:
@@ -355,43 +429,46 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
     every inner node matches exactly one transition shape: both children
     present with counters summing to the parent under some branching
     transition, or only the left child present with counter shifted by
-    some unary transition.
+    some unary transition.  Domain violations are reported before
+    transition violations; within each kind, the violation at the first
+    address in (length, address) order.
     """
     if not tree.labels:
         return False, None, "empty tree"
     labels = tree.labels
-    for addr in tree.addresses():
-        if addr and addr[:-1] not in labels:
-            return False, addr, "domain is not prefix-closed"
-        if any(c not in "01" for c in addr):
-            return False, addr, "address contains characters other than 0/1"
-    for addr in tree.addresses():
-        cfg = labels[addr]
-        left, right = tree.children(addr)
-        if left is None and right is None:
-            continue
-        if left is None and right is not None:
-            return False, addr, "node has only a right child"
-        lcfg = labels[left]
-        if right is not None:
-            rcfg = labels[right]
-            ok = any(
-                t.left == lcfg.state and t.right == rcfg.state
-                for i in system.branching_by_source[cfg.state]
-                for t in (system.branching[i],)
-            )
-            if not ok:
-                return False, addr, "no branching transition matches the children"
-            if lcfg.counter + rcfg.counter != cfg.counter:
-                return False, addr, "children counters do not sum to the parent counter"
+    pairs = system.branch_pairs_by_source
+    moves = system.unary_moves_by_source
+    shape: list[tuple[int, str, str]] = []
+    links = 0  # (node, child) pairs present
+    for addr, cfg in labels.items():
+        lcfg = labels.get(addr + "0")
+        rcfg = labels.get(addr + "1")
+        if lcfg is None:
+            if rcfg is not None:
+                links += 1
+                shape.append((len(addr), addr, "node has only a right child"))
+        elif rcfg is not None:
+            links += 2
+            if (lcfg.state, rcfg.state) not in pairs[cfg.state]:
+                shape.append((len(addr), addr, "no branching transition matches the children"))
+            elif lcfg.counter + rcfg.counter != cfg.counter:
+                shape.append((len(addr), addr, "children counters do not sum to the parent counter"))
         else:
-            ok = any(
-                t.target == lcfg.state and cfg.counter + t.delta == lcfg.counter
-                for i in system.unary_by_source[cfg.state]
-                for t in (system.unary[i],)
-            )
-            if not ok:
-                return False, addr, "no unary transition matches the child"
+            links += 1
+            if (lcfg.counter - cfg.counter, lcfg.state) not in moves[cfg.state]:
+                shape.append((len(addr), addr, "no unary transition matches the child"))
+    # every node but a root "" is some node's child exactly when the domain
+    # is prefix-closed over 0/1; only then can the domain scan be skipped
+    domain: list[tuple[int, str, str]] = []
+    if "" not in labels or links != len(labels) - 1:
+        for addr in labels:
+            if addr and addr[:-1] not in labels:
+                domain.append((len(addr), addr, "domain is not prefix-closed"))
+            elif addr.strip("01"):
+                domain.append((len(addr), addr, "address contains characters other than 0/1"))
+    if domain or shape:
+        _, addr, why = min(domain or shape)
+        return False, addr, why
     return True, None, "ok"
 
 
@@ -410,11 +487,6 @@ def is_reachability_tree(system: Bvass1, tree: PartialTree) -> bool:
     return all(is_accepting(system, tree.labels[a]) for a in tree.leaves())
 
 
-def is_bounded_tree(tree: PartialTree, bound: int) -> bool:
-    """True iff every node's counter is at most ``bound``."""
-    return all(c.counter <= bound for c in tree.labels.values())
-
-
 def is_exclusive(tree: PartialTree) -> bool:
     """Exclusivity of pumping segments.
 
@@ -422,15 +494,7 @@ def is_exclusive(tree: PartialTree) -> bool:
     must sit strictly below at least one of the two anchors; equivalently
     it is never the case that both anchors are ancestors of the lca.
     """
-    cls = classify_nodes(tree)
-    inc_leaves = [a for a in cls.increasing if tree.is_leaf(a)]
-    inc_leaves.sort(key=lambda a: (len(a), a))
-    for i, a in enumerate(inc_leaves):
-        for b in inc_leaves[i + 1 :]:
-            meet = lca(a, b)
-            if is_ancestor(cls.anchor_of[a], meet) and is_ancestor(cls.anchor_of[b], meet):
-                return False
-    return True
+    return _anchor_walk(tree)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +508,7 @@ def _addr_to_text(addr: str) -> str:
 def _addr_from_text(token: str, line_no: int) -> str:
     if token == "e":
         return ""
-    if not token or any(c not in "01" for c in token):
+    if token.strip("01"):
         raise FormatError(line_no, f"bad node address {token!r}")
     return token
 
@@ -458,55 +522,71 @@ def tree_to_text(system: Bvass1, tree: PartialTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_from_text(system: Bvass1, text: str) -> PartialTree:
-    labels: dict[str, Config] = {}
+def _read_pump(tokens: list[str], line_no: int, pumps: dict[str, tuple[str, int]]) -> None:
+    if len(tokens) != 4:
+        raise FormatError(line_no, "expected pump <leaf> <anchor> <modulus>")
+    leaf = _addr_from_text(tokens[1], line_no)
+    anchor = _addr_from_text(tokens[2], line_no)
+    try:
+        modulus = int(tokens[3])
+    except ValueError:
+        raise FormatError(line_no, f"bad modulus {tokens[3]!r}") from None
+    if modulus < 1:
+        raise SemanticError(f"line {line_no}: modulus must be at least 1")
+    if leaf in pumps:
+        raise SemanticError(f"line {line_no}: duplicate pump for leaf {tokens[1]!r}")
+    pumps[leaf] = (anchor, modulus)
+
+
+def _read_tree_text(
+    text: str, system: Optional[Bvass1] = None, pumps: Optional[dict[str, tuple[str, int]]] = None
+) -> dict:
+    """Read a tree or certificate file in one pass.
+
+    Node lines are ``<address> <state> <counter>``.  With a system, the
+    labels are Configs; without one, (state name, counter) pairs.  Pump
+    lines ``pump <leaf> <anchor> <modulus>`` go into ``pumps`` as
+    leaf -> (anchor, modulus) when it is given and are skipped otherwise.
+    A bad node line is reported before any bad pump line, and an empty
+    tree before either.
+    """
+    labels: dict = {}
+    pump_error: Optional[ValueError] = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         if tokens[0] == "pump":
-            continue  # certificate payload lines; handled elsewhere
+            if pumps is not None and pump_error is None:
+                try:
+                    _read_pump(tokens, line_no, pumps)
+                except (FormatError, SemanticError) as exc:
+                    pump_error = exc
+            continue
         if len(tokens) != 3:
             raise FormatError(line_no, "expected <address> <state> <counter>")
         addr = _addr_from_text(tokens[0], line_no)
         if addr in labels:
             raise SemanticError(f"line {line_no}: duplicate address {tokens[0]!r}")
-        state = system.state_id(tokens[1])
+        state = tokens[1] if system is None else system.state_id(tokens[1])
         try:
             counter = int(tokens[2])
         except ValueError:
             raise FormatError(line_no, f"bad counter {tokens[2]!r}") from None
         if counter < 0:
             raise SemanticError(f"line {line_no}: negative counter")
-        labels[addr] = Config(state, counter)
+        labels[addr] = (state, counter) if system is None else Config(state, counter)
     if not labels:
         raise FormatError(1, "empty tree")
-    return PartialTree(labels)
+    if pump_error is not None:
+        raise pump_error
+    return labels
+
+
+def tree_from_text(system: Bvass1, text: str) -> PartialTree:
+    return PartialTree(_read_tree_text(text, system))
 
 
 def raw_tree_from_text(text: str) -> dict[str, tuple[str, int]]:
     """Parse a tree file without a system: address -> (state name, counter)."""
-    labels: dict[str, tuple[str, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "pump":
-            continue
-        if len(tokens) != 3:
-            raise FormatError(line_no, "expected <address> <state> <counter>")
-        addr = _addr_from_text(tokens[0], line_no)
-        if addr in labels:
-            raise SemanticError(f"line {line_no}: duplicate address {tokens[0]!r}")
-        try:
-            counter = int(tokens[2])
-        except ValueError:
-            raise FormatError(line_no, f"bad counter {tokens[2]!r}") from None
-        if counter < 0:
-            raise SemanticError(f"line {line_no}: negative counter")
-        labels[addr] = (tokens[1], counter)
-    if not labels:
-        raise FormatError(1, "empty tree")
-    return labels
+    return _read_tree_text(text)

@@ -31,18 +31,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import (
     Bvass1,
     Config,
-    FormatError,
     PartialTree,
-    SemanticError,
-    classify_nodes,
+    _anchor_walk,
+    _read_tree_text,
     is_accepting,
-    is_exclusive,
-    tree_from_text,
     tree_to_text,
     validate_partial_tree_report,
 )
@@ -52,7 +49,6 @@ from .residue import (
     BudgetExceeded,
     ResidueCache,
     ResidueQuery,
-    ResidueTable,
     _bounded_value_masks,
     compute_table,
 )
@@ -104,7 +100,6 @@ class PumpRecord:
 
     anchor: str
     modulus: int
-    witness: Optional[ResidueTable] = None
 
 
 @dataclass(frozen=True)
@@ -150,25 +145,53 @@ def _backward_set(system: Bvass1, target: int) -> set[int]:
 
 
 def _cyclic_states(system: Bvass1) -> set[int]:
-    """States lying on a directed cycle of the transition graph."""
+    """States lying on a directed cycle of the transition graph.
+
+    One iterative Tarjan pass: a state is cyclic iff its strongly
+    connected component has more than one state or it has a self-loop.
+    """
     succ = _successor_sets(system)
-    out = set()
-    for q in range(system.num_states):
-        # q is cyclic iff q is reachable from one of its successors
-        stack = list(succ[q])
-        seen = set(stack)
-        hit = q in seen
-        while stack and not hit:
-            p = stack.pop()
-            for r in succ[p]:
-                if r == q:
-                    hit = True
+    nq = system.num_states
+    index = [-1] * nq
+    low = [0] * nq
+    on_stack = [False] * nq
+    comp: list[int] = []
+    out: set[int] = set()
+    visited = 0
+    for root in range(nq):
+        if index[root] >= 0:
+            continue
+        work: list[tuple[int, Optional[Iterator[int]]]] = [(root, None)]
+        while work:
+            q, it = work[-1]
+            if it is None:  # first visit
+                index[q] = low[q] = visited
+                visited += 1
+                comp.append(q)
+                on_stack[q] = True
+                it = iter(succ[q])
+                work[-1] = (q, it)
+            for p in it:
+                if index[p] < 0:
+                    work.append((p, None))
                     break
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        if hit:
-            out.add(q)
+                if on_stack[p]:
+                    low[q] = min(low[q], index[p])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[q])
+                if low[q] == index[q]:
+                    members = []
+                    while True:
+                        p = comp.pop()
+                        on_stack[p] = False
+                        members.append(p)
+                        if p == q:
+                            break
+                    if len(members) > 1 or q in succ[q]:
+                        out.update(members)
     return out
 
 
@@ -645,13 +668,8 @@ def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificat
     if not tables.holds(query.state, query.n):
         raise ValueError("extract_certificate needs a positive decision")
     labels, raw_pumps = _replay(tables, query.state, query.n)
-    tree = PartialTree(labels)
-    pumps: dict[str, PumpRecord] = {}
-    for leaf, (anchor, d) in sorted(raw_pumps.items()):
-        cfg = labels[leaf]
-        table = compute_table(ResidueQuery(query.system, cfg.state, cfg.counter, d))
-        pumps[leaf] = PumpRecord(anchor=anchor, modulus=d, witness=table)
-    return Certificate(tree=tree, pumps=pumps)
+    pumps = {leaf: PumpRecord(anchor=anchor, modulus=d) for leaf, (anchor, d) in sorted(raw_pumps.items())}
+    return Certificate(tree=PartialTree(labels), pumps=pumps)
 
 
 # ---------------------------------------------------------------------------
@@ -672,29 +690,37 @@ def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: 
     ok, addr, why = validate_partial_tree_report(system, tree)
     if not ok:
         return False, f"invalid tree at {addr or 'root'}: {why}"
+    labels = tree.labels
     bound = 2 * system.num_states + claimed.counter
-    for a in tree.addresses():
-        if tree.labels[a].counter > bound:
-            return False, f"counter {tree.labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
-    cls = classify_nodes(tree)
-    for leaf in tree.leaves():
-        if leaf in certificate.pumps:
-            continue
-        if not is_accepting(system, tree.labels[leaf]):
-            return False, f"leaf {leaf or 'root'} is neither accepting nor pumped"
+    # first violations in (length, address) order, found without sorting
+    over = min(((len(a), a) for a, cfg in labels.items() if cfg.counter > bound), default=None)
+    if over is not None:
+        a = over[1]
+        return False, f"counter {labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
+    stuck = min(
+        (
+            (len(a), a)
+            for a, cfg in labels.items()
+            if a not in certificate.pumps and tree.is_leaf(a) and not is_accepting(system, cfg)
+        ),
+        default=None,
+    )
+    if stuck is not None:
+        return False, f"leaf {stuck[1] or 'root'} is neither accepting nor pumped"
+    anchor_of, _, exclusive = _anchor_walk(tree)
     for leaf, rec in sorted(certificate.pumps.items()):
         if leaf not in tree.labels or not tree.is_leaf(leaf):
             return False, f"pump source {leaf!r} is not a leaf of the tree"
         if rec.anchor not in tree.labels:
             return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
-        if leaf not in cls.increasing:
+        if leaf not in anchor_of:
             return False, f"pumped leaf {leaf} is not increasing"
-        if cls.anchor_of[leaf] != rec.anchor:
+        if anchor_of[leaf] != rec.anchor:
             return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
         gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter
         if rec.modulus != gap or rec.modulus < 1:
             return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
-    if not is_exclusive(tree):
+    if not exclusive:
         return False, "pumping segments are not exclusive"
     for leaf, rec in sorted(certificate.pumps.items()):
         cfg = tree.labels[leaf]
@@ -829,31 +855,6 @@ def certificate_to_text(system: Bvass1, certificate: Certificate) -> str:
 
 
 def certificate_from_text(system: Bvass1, text: str) -> Certificate:
-    tree = tree_from_text(system, text)
-    pumps: dict[str, PumpRecord] = {}
-
-    def addr(token: str, line_no: int) -> str:
-        if token == "e":
-            return ""
-        if not token or any(c not in "01" for c in token):
-            raise FormatError(line_no, f"bad node address {token!r}")
-        return token
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens or tokens[0] != "pump":
-            continue
-        if len(tokens) != 4:
-            raise FormatError(line_no, "expected pump <leaf> <anchor> <modulus>")
-        leaf = addr(tokens[1], line_no)
-        anchor = addr(tokens[2], line_no)
-        try:
-            modulus = int(tokens[3])
-        except ValueError:
-            raise FormatError(line_no, f"bad modulus {tokens[3]!r}") from None
-        if modulus < 1:
-            raise SemanticError(f"line {line_no}: modulus must be at least 1")
-        if leaf in pumps:
-            raise SemanticError(f"line {line_no}: duplicate pump for leaf {tokens[1]!r}")
-        pumps[leaf] = PumpRecord(anchor=anchor, modulus=modulus)
-    return Certificate(tree=tree, pumps=pumps)
+    pumps: dict[str, tuple[str, int]] = {}
+    tree = PartialTree(_read_tree_text(text, system, pumps))
+    return Certificate(tree=tree, pumps={leaf: PumpRecord(a, d) for leaf, (a, d) in pumps.items()})

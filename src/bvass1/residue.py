@@ -386,11 +386,6 @@ def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[
     return frozenset(out)
 
 
-def compute_R(query: ResidueQuery) -> ResidueTable:
-    """Table with S, R0, R and the round count filled in (X included)."""
-    return compute_table(query)
-
-
 # ---------------------------------------------------------------------------
 # window cache
 

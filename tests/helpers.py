@@ -1,9 +1,21 @@
-"""Shared builders for the test suites."""
+"""Shared builders and naive reference implementations for the test suites."""
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from bvass1.model import Bvass1, Config, PartialTree, parse_bvass
+from bvass1.gen import gen_random
+from bvass1.model import (
+    Bvass1,
+    Config,
+    NodeClassification,
+    PartialTree,
+    is_accepting,
+    is_ancestor,
+    lca,
+    parse_bvass,
+)
+from bvass1.residue import ResidueQuery, compute_table
 
 LOOP_TEXT = """
 state a  state f
@@ -73,3 +85,145 @@ def random_valid_tree(system: Bvass1, rng: random.Random, max_nodes: int = 40) -
             frontier.append(addr + "0")
             frontier.append(addr + "1")
     return PartialTree(labels)
+
+
+def random_instances() -> list[Bvass1]:
+    """The 500 seeded systems shared by criteria 3 and 4 (|Q| <= 5, |transitions| <= 10)."""
+    out = []
+    for seed in range(500):
+        out.append(
+            gen_random(
+                num_states=1 + seed % 5,
+                num_unary=(3 + seed) % 8,
+                num_branching=seed % 4,
+                num_finals=1 + seed % 2,
+                seed=seed,
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# naive references: direct transcriptions of the definitions, quadratic or
+# worse in tree depth, kept to test the linear library code against
+
+
+def naive_classify_nodes(tree: PartialTree) -> NodeClassification:
+    """Walks every present ancestor of every node."""
+    increasing: set[str] = set()
+    decreasing: set[str] = set()
+    anchor_of: dict[str, str] = {}
+    labels = tree.labels
+    for addr in tree.addresses():
+        cfg = labels[addr]
+        # ancestors from deepest to the root; the first smaller one is the anchor
+        for k in range(len(addr) - 1, -1, -1):
+            anc = labels.get(addr[:k])
+            if anc is None or anc.state != cfg.state:
+                continue
+            if anc.counter < cfg.counter and addr not in increasing:
+                increasing.add(addr)
+                anchor_of[addr] = addr[:k]
+            elif anc.counter > cfg.counter:
+                decreasing.add(addr)
+    return NodeClassification(frozenset(increasing), anchor_of, frozenset(decreasing))
+
+
+def naive_is_exclusive(tree: PartialTree) -> bool:
+    """No two increasing leaves have both anchors at or above their meet."""
+    cls = naive_classify_nodes(tree)
+    inc_leaves = sorted((a for a in cls.increasing if tree.is_leaf(a)), key=lambda a: (len(a), a))
+    for i, a in enumerate(inc_leaves):
+        for b in inc_leaves[i + 1 :]:
+            meet = lca(a, b)
+            if is_ancestor(cls.anchor_of[a], meet) and is_ancestor(cls.anchor_of[b], meet):
+                return False
+    return True
+
+
+def naive_validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[bool, Optional[str], str]:
+    """Domain checks over all addresses in (length, address) order, then node checks."""
+    if not tree.labels:
+        return False, None, "empty tree"
+    labels = tree.labels
+    for addr in tree.addresses():
+        if addr and addr[:-1] not in labels:
+            return False, addr, "domain is not prefix-closed"
+        if any(c not in "01" for c in addr):
+            return False, addr, "address contains characters other than 0/1"
+    for addr in tree.addresses():
+        cfg = labels[addr]
+        left, right = tree.children(addr)
+        if left is None and right is None:
+            continue
+        if left is None:
+            return False, addr, "node has only a right child"
+        lcfg = labels[left]
+        if right is not None:
+            rcfg = labels[right]
+            if not any(t.source == cfg.state and (t.left, t.right) == (lcfg.state, rcfg.state) for t in system.branching):
+                return False, addr, "no branching transition matches the children"
+            if lcfg.counter + rcfg.counter != cfg.counter:
+                return False, addr, "children counters do not sum to the parent counter"
+        elif not any(
+            t.source == cfg.state and t.target == lcfg.state and cfg.counter + t.delta == lcfg.counter
+            for t in system.unary
+        ):
+            return False, addr, "no unary transition matches the child"
+    return True, None, "ok"
+
+
+def naive_check_certificate_report(system: Bvass1, certificate, claimed: Config) -> tuple[bool, str]:
+    """The certificate checker written over the naive references, clause by clause."""
+    tree = certificate.tree
+    if "" not in tree.labels:
+        return False, "tree has no root"
+    if tree.labels[""] != claimed:
+        return False, "root label differs from the claimed configuration"
+    ok, addr, why = naive_validate_partial_tree_report(system, tree)
+    if not ok:
+        return False, f"invalid tree at {addr or 'root'}: {why}"
+    bound = 2 * system.num_states + claimed.counter
+    for a in tree.addresses():
+        if tree.labels[a].counter > bound:
+            return False, f"counter {tree.labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
+    cls = naive_classify_nodes(tree)
+    for leaf in tree.leaves():
+        if leaf not in certificate.pumps and not is_accepting(system, tree.labels[leaf]):
+            return False, f"leaf {leaf or 'root'} is neither accepting nor pumped"
+    for leaf, rec in sorted(certificate.pumps.items()):
+        if leaf not in tree.labels or not tree.is_leaf(leaf):
+            return False, f"pump source {leaf!r} is not a leaf of the tree"
+        if rec.anchor not in tree.labels:
+            return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
+        if leaf not in cls.increasing:
+            return False, f"pumped leaf {leaf} is not increasing"
+        if cls.anchor_of[leaf] != rec.anchor:
+            return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
+        gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter
+        if rec.modulus != gap or rec.modulus < 1:
+            return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
+    if not naive_is_exclusive(tree):
+        return False, "pumping segments are not exclusive"
+    for leaf, rec in sorted(certificate.pumps.items()):
+        cfg = tree.labels[leaf]
+        if not compute_table(ResidueQuery(system, cfg.state, cfg.counter, rec.modulus)).holds:
+            return False, f"residue query at leaf {leaf} ({system.state_name(cfg.state)}, {cfg.counter}, {rec.modulus}) is negative"
+    return True, "ok"
+
+
+def naive_cyclic_states(system: Bvass1) -> set[int]:
+    """A state is cyclic iff it is reachable from one of its successors."""
+    succ = [system.successors(q) for q in range(system.num_states)]
+    out = set()
+    for q in range(system.num_states):
+        stack = list(succ[q])
+        seen = set(stack)
+        while stack and q not in seen:
+            for r in succ[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        if q in seen:
+            out.add(q)
+    return out

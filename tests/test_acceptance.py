@@ -49,7 +49,7 @@ from bvass1.reach import (
 )
 from bvass1.residue import ResidueQuery, compute_table, residue_reachable
 
-from helpers import b2, loop_gadget, random_valid_tree
+from helpers import b2, loop_gadget, random_instances, random_valid_tree
 
 FAMILY_TIME_LIMIT_S = 10.0  # per doubling family run (criterion 1)
 STRESS_TIME_LIMIT_S = 5.0  # per deep doubling instance (criterion 2)
@@ -60,22 +60,6 @@ EXPAND_NODE_LIMIT = 100_000  # expansion allowance (criterion 4)
 def _report(capsys, tag: str, message: str) -> None:
     with capsys.disabled():
         print(f"{tag} PASS: {message}")
-
-
-def _random_instances() -> list:
-    """The 500 seeded systems shared by criteria 3 and 4 (|Q| <= 5, |transitions| <= 10)."""
-    out = []
-    for seed in range(500):
-        out.append(
-            gen_random(
-                num_states=1 + seed % 5,
-                num_unary=(3 + seed) % 8,
-                num_branching=seed % 4,
-                num_finals=1 + seed % 2,
-                seed=seed,
-            )
-        )
-    return out
 
 
 def _certificate_path(system, state: int, n: int) -> str | None:
@@ -149,7 +133,7 @@ def test_c2_pumping_stress(capsys):
 
 
 def test_c3_oracle_inclusion(capsys):
-    systems = _random_instances()
+    systems = random_instances()
     assert len(systems) == 500
     configs = 0
     for seed, system in enumerate(systems):
@@ -180,7 +164,7 @@ def test_c4_certificate_round_trip(capsys):
             if outcome is not None:
                 checked += 1
 
-    for seed, system in enumerate(_random_instances()):
+    for seed, system in enumerate(random_instances()):
         tables = run_batch(system, 12)
         positives = [
             (state, n)
