@@ -31,7 +31,9 @@ from .model import (
     Bvass1,
     Config,
     FormatError,
+    PartialTree,
     SemanticError,
+    classify_nodes,
     format_bvass,
     parse_bvass,
     raw_tree_from_text,
@@ -291,18 +293,15 @@ def _cmd_export_dot(args) -> int:
             if child in labels:
                 lines.append(f"  {_dot_quote(key(addr))} -> {_dot_quote(key(child))};")
     if args.mark_anchors:
+        ids: dict[str, int] = {}
+        tree = PartialTree(
+            {a: Config(ids.setdefault(name, len(ids)), c) for a, (name, c) in labels.items()}
+        )
+        anchor_of = classify_nodes(tree).anchor_of
         for addr in order:
-            if addr + "0" in labels or addr + "1" in labels:
-                continue
-            name, counter = labels[addr]
-            for cut in range(len(addr) - 1, -1, -1):
-                up = addr[:cut]
-                up_name, up_counter = labels[up]
-                if up_name == name and up_counter < counter:
-                    lines.append(
-                        f"  {_dot_quote(key(up))} -> {_dot_quote(key(addr))} [style=dashed];"
-                    )
-                    break
+            if addr in anchor_of and tree.is_leaf(addr):
+                anchor = anchor_of[addr]
+                lines.append(f"  {_dot_quote(key(anchor))} -> {_dot_quote(key(addr))} [style=dashed];")
     lines.append("}")
     print("\n".join(lines))
     return 0

@@ -15,6 +15,10 @@ reduces to a reachable state carrying a positive-gain cycle, with the
 combined prefix and cycle length at most the number of states; a
 dynamic program over walk lengths finds it and yields a witness
 sequence that a separate checker verifies clause by clause.
+
+The clamped values are the max-coverable profile the reach engine also
+reads (``ResidueCache.max_coverable``); the witness checker does not
+trust it and asks its own modulus-1 questions.
 """
 from __future__ import annotations
 
@@ -23,9 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Bvass1
-from .residue import Budget, ResidueQuery, residue_reachable
-
-_NEG = None  # matrix entry for "no walk"
+from .residue import Budget, ResidueCache, ResidueQuery, residue_reachable
 
 
 def coverable(system: Bvass1, state: int, n: int, budget: Budget | None = None) -> bool:
@@ -48,17 +50,6 @@ class GainGraph:
     max_coverable: tuple[Optional[int], ...]
 
 
-def _max_coverable(system: Bvass1, state: int, budget: Budget | None) -> Optional[int]:
-    # coverability is downward closed in n, so scan up to the first miss
-    top = system.num_states + 1
-    best: Optional[int] = None
-    for n in range(top + 1):
-        if not coverable(system, state, n, budget):
-            break
-        best = n
-    return best
-
-
 def build_gain_graph(system: Bvass1, budget: Budget | None = None) -> GainGraph:
     """Edges through transitions whose every target covers zero.
 
@@ -67,7 +58,8 @@ def build_gain_graph(system: Bvass1, budget: Budget | None = None) -> GainGraph:
     covered at, clamped to |Q|+1.  Branching transitions have counter
     effect zero.
     """
-    max_cov = [_max_coverable(system, q, budget) for q in range(system.num_states)]
+    profile = ResidueCache(system, budget).max_coverable(system.num_states + 1)
+    max_cov = [None if m < 0 else m for m in profile]
     edges: list[GainEdge] = []
     for i, t in enumerate(system.unary):
         if max_cov[t.target] is not None:
@@ -141,9 +133,11 @@ def check_unbounded_witness(system: Bvass1, state: int, witness: Witness) -> tup
         if states[i] == states[j]:
             return False, "re-entered state already occurs before the recorded index"
 
+    # plain modulus-1 questions; the targets at 0 share one table
+    cover = ResidueCache(system)
     side_targets = sorted({p for ref in trans for p in targets(ref)})
     for p in side_targets:
-        if not coverable(system, p, 0):
+        if not cover.query(p, 0, 1):
             return False, f"target state {system.state_name(p)} does not cover 0"
 
     total_gain = 0
@@ -161,7 +155,7 @@ def check_unbounded_witness(system: Bvass1, state: int, witness: Witness) -> tup
         else:
             t = system.branching[idx]
             sibling = t.right if states[i] == t.left else t.left
-            if not coverable(system, sibling, n_i):
+            if not cover.query(sibling, n_i, 1):
                 return False, f"sibling of transition {i} is not coverable at {n_i}"
             effect = 0
         total_gain += n_i - effect
@@ -172,14 +166,11 @@ def check_unbounded_witness(system: Bvass1, state: int, witness: Witness) -> tup
     return True, "ok"
 
 
-def _bfs_paths(graph: GainGraph, num_states: int, start: int) -> tuple[list[int], list[Optional[GainEdge]]]:
-    dist = [-1] * num_states
-    via: list[Optional[GainEdge]] = [None] * num_states
+def _bfs_paths(out: list[list[GainEdge]], start: int) -> tuple[list[int], list[Optional[GainEdge]]]:
+    dist = [-1] * len(out)
+    via: list[Optional[GainEdge]] = [None] * len(out)
     dist[start] = 0
     queue = deque([start])
-    out: list[list[GainEdge]] = [[] for _ in range(num_states)]
-    for e in graph.edges:
-        out[e.source].append(e)
     while queue:
         q = queue.popleft()
         for e in out[q]:
@@ -200,23 +191,22 @@ def unbounded_report(
     dist(state, s) + l <= |Q| has best[l][s][s] > 0.
     """
     b = Budget() if budget is None else Budget(budget)
-    if not coverable(system, state, 0, b):
-        return False, "bounded: the state has an empty reach set", None
     graph = build_gain_graph(system, b)
+    if graph.max_coverable[state] is None:
+        return False, "bounded: the state has an empty reach set", None
     nq = system.num_states
-    dist, via = _bfs_paths(graph, nq, state)
-
     out: list[list[GainEdge]] = [[] for _ in range(nq)]
     for e in graph.edges:
         out[e.source].append(e)
+    dist, via = _bfs_paths(out, state)
 
     # best[a][b] for the current length; bt[l] remembers the first edge
-    best: list[list[Optional[int]]] = [[_NEG] * nq for _ in range(nq)]
+    best: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
     for a in range(nq):
         best[a][a] = 0
     bts: list[list[list[Optional[GainEdge]]]] = []
     for length in range(1, nq + 1):
-        new: list[list[Optional[int]]] = [[_NEG] * nq for _ in range(nq)]
+        new: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
         bt: list[list[Optional[GainEdge]]] = [[None] * nq for _ in range(nq)]
         for a in range(nq):
             row_new = new[a]

@@ -568,7 +568,10 @@ def _read_tree_text(
         addr = _addr_from_text(tokens[0], line_no)
         if addr in labels:
             raise SemanticError(f"line {line_no}: duplicate address {tokens[0]!r}")
-        state = tokens[1] if system is None else system.state_id(tokens[1])
+        try:
+            state = tokens[1] if system is None else system.state_id(tokens[1])
+        except SemanticError as exc:
+            raise SemanticError(f"line {line_no}: {exc}") from None
         try:
             counter = int(tokens[2])
         except ValueError:

@@ -50,6 +50,8 @@ from .residue import (
     ResidueCache,
     ResidueQuery,
     _bounded_value_masks,
+    _shift_parent,
+    _sumset,
     compute_table,
 )
 
@@ -195,68 +197,6 @@ def _cyclic_states(system: Bvass1) -> set[int]:
     return out
 
 
-def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
-    """Per-state bounds on the largest reachable counter, clamped.
-
-    Returns (lower, upper) with -1 for states with empty reach sets.
-    lower[q] is a value such that every m <= lower[q] is coverable;
-    upper[q] is at least min(sup reach(q), clamp).  The two runs differ
-    only in how a clamped operand propagates through a +1 unary step:
-    the upper run keeps the clamp, the lower run subtracts anyway.
-    Between the two, coverable(q, m) for m < clamp is decided exactly
-    except in the gap (lower, upper], which callers resolve precisely.
-    """
-    nq = system.num_states
-    up_unary: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
-    climb = [False] * nq
-    for t in system.unary:
-        up_unary[t.target].append((t.source, t.delta))
-        # a (q,-1,q) loop climbs without limit from any reachable value
-        if t.source == t.target and t.delta == -1:
-            climb[t.source] = True
-    touch: list[list[int]] = [[] for _ in range(nq)]
-    for i, t in enumerate(system.branching):
-        touch[t.left].append(i)
-        if t.right != t.left:
-            touch[t.right].append(i)
-
-    def run(optimistic: bool) -> list[int]:
-        vals = [-1] * nq
-        queue: deque[int] = deque()
-        queued = [False] * nq
-
-        def relax(q: int, v: int) -> None:
-            v = min(v, clamp)
-            if v <= vals[q]:
-                return
-            vals[q] = clamp if climb[q] else v
-            if not queued[q]:
-                queued[q] = True
-                queue.append(q)
-
-        for f in system.finals:
-            relax(f, 0)
-        while queue:
-            p = queue.popleft()
-            queued[p] = False
-            vp = vals[p]
-            for (src, z) in up_unary[p]:
-                if optimistic and vp == clamp:
-                    cand = clamp
-                else:
-                    cand = vp - z
-                if cand >= 0:
-                    relax(src, cand)
-            for i in touch[p]:
-                t = system.branching[i]
-                v0, v1 = vals[t.left], vals[t.right]
-                if v0 >= 0 and v1 >= 0:
-                    relax(t.source, v0 + v1)
-        return vals
-
-    return run(False), run(True)
-
-
 # ---------------------------------------------------------------------------
 # fixpoint engine
 
@@ -296,7 +236,8 @@ class FixpointTables:
         self.complete_to = complete_to
         self.budget = budget
         self.residue_cache = ResidueCache(system, budget)
-        self.sup_lower, self.sup_upper = _sup_bounds(system, bound + 1)
+        # only pump contexts read the profile; expansion's tables have none
+        self.max_cover = self.residue_cache.max_coverable(bound + 1) if context_states else []
 
         nq = system.num_states
         self._full = (1 << (bound + 1)) - 1
@@ -337,7 +278,7 @@ class FixpointTables:
         system = self.system
         backs = {s: _backward_set(system, s) for s in sorted(context_states)}
         for s in sorted(context_states):
-            top = min(self.sup_upper[s], self.bound)
+            top = min(self.max_cover[s], self.bound)
             for m_star in range(1, top + 1):
                 self.budget.charge(system.num_states)
                 ci = len(self.contexts)
@@ -357,10 +298,7 @@ class FixpointTables:
 
     def _probe(self, state: int, n0: int, d: int) -> bool:
         if d == 1:
-            if n0 <= self.sup_lower[state]:
-                return True
-            if n0 > self.sup_upper[state]:
-                return False
+            return n0 <= self.max_cover[state]
         return self.residue_cache.query(state, n0, d)
 
     # -- table updates
@@ -411,28 +349,6 @@ class FixpointTables:
 
     # -- rule application
 
-    @staticmethod
-    def _shift_parent(bits: int, z: int) -> int:
-        # child counters -> parent counters along a unary step (child = parent + z)
-        if z == 1:
-            return bits >> 1
-        if z == -1:
-            return bits << 1
-        return bits
-
-    @staticmethod
-    def _sumset(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        out = 0
-        while a:
-            low = a & -a
-            out |= b << (low.bit_length() - 1)
-            a ^= low
-        return out
-
     def _fire_top(self, ci: int, nbits: int, just: tuple) -> None:
         ctx = self.contexts[ci]
         nbits &= (1 << ctx.m_star) - 1  # anchor strictly below the leaf
@@ -469,44 +385,44 @@ class FixpointTables:
         system = self.system
         for ti in self._up_unary[q]:
             t = system.unary[ti]
-            self._add_r(t.source, self._shift_parent(delta, t.delta), ("unary", ti))
+            self._add_r(t.source, _shift_parent(delta, t.delta), ("unary", ti))
         for bi in self._br_left[q]:
             t = system.branching[bi]
-            self._add_r(t.source, self._sumset(delta, self.reach_masks[t.right]), ("branch", bi))
+            self._add_r(t.source, _sumset(delta, self.reach_masks[t.right]), ("branch", bi))
         for bi in self._br_right[q]:
             t = system.branching[bi]
-            self._add_r(t.source, self._sumset(self.reach_masks[t.left], delta), ("branch", bi))
+            self._add_r(t.source, _sumset(self.reach_masks[t.left], delta), ("branch", bi))
         for (ci, bi, p_side) in self._pb_watch[q]:
             t = system.branching[bi]
             ctx = self.contexts[ci]
             pmask = ctx.masks[t.left if p_side == 0 else t.right]
             if pmask:
-                self._add_p(ci, t.source, self._sumset(delta, pmask), ("branch", bi, p_side))
+                self._add_p(ci, t.source, _sumset(delta, pmask), ("branch", bi, p_side))
         for (ci, bi, p_side) in self._top_watch[q]:
             t = system.branching[bi]
             ctx = self.contexts[ci]
             pmask = ctx.masks[t.left if p_side == 0 else t.right]
             if pmask:
-                self._fire_top(ci, self._sumset(delta, pmask), ("pump_branch", ci, bi, p_side))
+                self._fire_top(ci, _sumset(delta, pmask), ("pump_branch", ci, bi, p_side))
 
     def _on_path_delta(self, ci: int, q: int, delta: int) -> None:
         system = self.system
         ctx = self.contexts[ci]
         for ti in self._up_unary[q]:
             t = system.unary[ti]
-            bits = self._shift_parent(delta, t.delta)
+            bits = _shift_parent(delta, t.delta)
             self._add_p(ci, t.source, bits, ("unary", ti))
             if t.source == ctx.state:
                 self._fire_top(ci, bits, ("pump_unary", ci, ti))
         for bi in self._br_left[q]:
             t = system.branching[bi]
-            bits = self._sumset(delta, self.reach_masks[t.right])
+            bits = _sumset(delta, self.reach_masks[t.right])
             self._add_p(ci, t.source, bits, ("branch", bi, 0))
             if t.source == ctx.state:
                 self._fire_top(ci, bits, ("pump_branch", ci, bi, 0))
         for bi in self._br_right[q]:
             t = system.branching[bi]
-            bits = self._sumset(self.reach_masks[t.left], delta)
+            bits = _sumset(self.reach_masks[t.left], delta)
             self._add_p(ci, t.source, bits, ("branch", bi, 1))
             if t.source == ctx.state:
                 self._fire_top(ci, bits, ("pump_branch", ci, bi, 1))

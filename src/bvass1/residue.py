@@ -20,6 +20,7 @@ are also exposed literally for cross-checking in tests.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,6 +133,15 @@ def _sumset(a: int, b: int) -> int:
     return out
 
 
+def _shift_parent(bits: int, z: int) -> int:
+    """Child counters -> parent counters along a unary step (child = parent + z)."""
+    if z == 1:
+        return bits >> 1
+    if z == -1:
+        return bits << 1
+    return bits
+
+
 def _fold_mod(mask: int, d: int, base: int = 0) -> int:
     """Residues modulo d of { base + j : bit j of mask }."""
     if mask == 0:
@@ -235,12 +245,7 @@ def _bounded_value_masks(system: Bvass1, cap: int, budget: Budget | None = None)
         if not delta:
             continue
         for (q, z) in up_unary[p]:
-            if z == 1:
-                add(q, delta >> 1)
-            elif z == -1:
-                add(q, delta << 1)
-            else:
-                add(q, delta)
+            add(q, _shift_parent(delta, z))
         for i in by_left[p]:
             t = system.branching[i]
             add(t.source, _sumset(delta, masks[t.right]))
@@ -387,7 +392,69 @@ def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[
 
 
 # ---------------------------------------------------------------------------
-# window cache
+# window cache and the max-coverable profile
+
+
+def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
+    """Per-state bounds on the largest reachable counter, clamped.
+
+    Returns (lower, upper) with -1 for states with empty reach sets.
+    lower[q] is a value such that every m <= lower[q] is coverable;
+    upper[q] is at least min(sup reach(q), clamp).  The two runs differ
+    only in how a clamped operand propagates through a +1 unary step:
+    the upper run keeps the clamp, the lower run subtracts anyway.
+    Between the two, coverable(q, m) for m < clamp is decided exactly
+    except in the gap (lower, upper], closed by ``ResidueCache.max_coverable``.
+    """
+    nq = system.num_states
+    up_unary: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
+    climb = [False] * nq
+    for t in system.unary:
+        up_unary[t.target].append((t.source, t.delta))
+        # a (q,-1,q) loop climbs without limit from any reachable value
+        if t.source == t.target and t.delta == -1:
+            climb[t.source] = True
+    touch: list[list[int]] = [[] for _ in range(nq)]
+    for i, t in enumerate(system.branching):
+        touch[t.left].append(i)
+        if t.right != t.left:
+            touch[t.right].append(i)
+
+    def run(optimistic: bool) -> list[int]:
+        vals = [-1] * nq
+        queue: deque[int] = deque()
+        queued = [False] * nq
+
+        def relax(q: int, v: int) -> None:
+            v = min(v, clamp)
+            if v <= vals[q]:
+                return
+            vals[q] = clamp if climb[q] else v
+            if not queued[q]:
+                queued[q] = True
+                queue.append(q)
+
+        for f in system.finals:
+            relax(f, 0)
+        while queue:
+            p = queue.popleft()
+            queued[p] = False
+            vp = vals[p]
+            for (src, z) in up_unary[p]:
+                if optimistic and vp == clamp:
+                    cand = clamp
+                else:
+                    cand = vp - z
+                if cand >= 0:
+                    relax(src, cand)
+            for i in touch[p]:
+                t = system.branching[i]
+                v0, v1 = vals[t.left], vals[t.right]
+                if v0 >= 0 and v1 >= 0:
+                    relax(t.source, v0 + v1)
+        return vals
+
+    return run(False), run(True)
 
 
 class ResidueCache:
@@ -415,6 +482,26 @@ class ResidueCache:
             x = table.x_masks
             self._tables[key] = x
         return bool((x[state] >> (n0 % d)) & 1)
+
+    def max_coverable(self, clamp: int) -> list[int]:
+        """Per state, the largest n <= clamp with some q(m), m >= n, reachable.
+
+        -1 marks an empty reach set.  Each gap (lower, upper] left by
+        ``_sup_bounds`` is bisected with modulus-1 queries, upper end first
+        (it is usually exact); one table at n answers every state at n.
+        """
+        lower, upper = _sup_bounds(self.system, clamp)
+        best = []
+        for q, (lo, hi) in enumerate(zip(lower, upper)):
+            n = hi
+            while lo < hi:
+                if self.query(q, n, 1):
+                    lo = n
+                else:
+                    hi = n - 1
+                n = (lo + hi + 1) // 2
+            best.append(lo)
+        return best
 
     @property
     def tables_built(self) -> int:

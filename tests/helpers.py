@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from bvass1.cover_bound import coverable
 from bvass1.gen import gen_random
 from bvass1.model import (
     Bvass1,
@@ -226,4 +227,18 @@ def naive_cyclic_states(system: Bvass1) -> set[int]:
                     stack.append(r)
         if q in seen:
             out.add(q)
+    return out
+
+
+def naive_max_coverable(system: Bvass1, clamp: int) -> list[int]:
+    """Per state, scan n = 0..clamp with one fresh coverability run each,
+    up to the first miss; -1 when the state covers nothing."""
+    out = []
+    for q in range(system.num_states):
+        best = -1
+        for n in range(clamp + 1):
+            if not coverable(system, q, n):
+                break
+            best = n
+        out.append(best)
     return out

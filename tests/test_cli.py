@@ -184,6 +184,13 @@ def test_check_rejects_empty_certificate(b2_file, tmp_path, capsys):
     assert "empty tree" in capsys.readouterr().err
 
 
+def test_check_unknown_state_names_the_line(b2_file, tmp_path, capsys):
+    cert = tmp_path / "bad.cert"
+    cert.write_text("e q 0\n0 q_2 0\n00 nope 0\n")
+    assert main(["check", "--system", b2_file, "--certificate", str(cert), "--state", "q", "--n", "0"]) == 2
+    assert "line 3: unknown state 'nope'" in capsys.readouterr().err
+
+
 def test_decide_no_certificate_on_negative(b2_file, tmp_path, capsys):
     cert = tmp_path / "no.cert"
     args = ["decide", "reach", "--system", b2_file, "--state", "q_2", "--n", "3",
@@ -261,6 +268,17 @@ def test_export_dot_marks_anchors(tmp_path, capsys):
     assert main(["export-dot", "--tree", str(cert), "--mark-anchors"]) == 0
     out = capsys.readouterr().out
     assert out.count("[style=dashed]") == 1
+
+
+def test_export_dot_marks_anchor_across_missing_nodes(tmp_path, capsys):
+    # the tree need not be prefix-closed: the anchor is the nearest present
+    # same-state ancestor with a smaller counter
+    tree = tmp_path / "gappy.tree"
+    tree.write_text("e q 0\n000 q 1\n")
+    assert main(["export-dot", "--tree", str(tree), "--mark-anchors"]) == 0
+    out = capsys.readouterr().out
+    assert '"e" -> "000" [style=dashed]' in out
+    assert out.count("->") == 1
 
 
 def test_export_dot_rejects_rootless_tree(tmp_path, capsys):

@@ -220,7 +220,7 @@ def test_deep_path_certificate_checks_fast():
         ("pump 0 e 1\n", FormatError, "line 1: empty tree"),
         ("pump 0 e x\nfoo q 1\n", FormatError, "line 2: bad node address 'foo'"),
         ("e q 1\npump 0 e\n0 q 1 1\n", FormatError, "line 3: expected <address> <state> <counter>"),
-        ("e q 1\npump 0 e 0\n0 nope 1\n", SemanticError, "unknown state 'nope'"),
+        ("e q 1\npump 0 e 0\n0 nope 1\n", SemanticError, "line 3: unknown state 'nope'"),
         ("e q 1\npump 0 e 1\npump 0 e 1\npump 2 e 1\n", SemanticError, "line 3: duplicate pump for leaf '0'"),
         ("e q 1\npump 0 e x\npump 0 e 0\n", FormatError, "line 2: bad modulus 'x'"),
         ("e q 1\npump 0 e 0\n", SemanticError, "line 2: modulus must be at least 1"),

@@ -1,0 +1,175 @@
+"""The shared max-coverable profile against the per-state scan it replaced."""
+from __future__ import annotations
+
+import random
+import time
+
+from bvass1.cover_bound import build_gain_graph, check_unbounded_witness, coverable, unbounded_report
+from bvass1.gen import (
+    gen_binary_constant,
+    gen_doubling,
+    gen_mcvp,
+    gen_random,
+    gen_random_circuit,
+    gen_subset_sum,
+)
+from bvass1.model import Bvass1, BranchTransition, UnaryTransition, parse_bvass
+from bvass1.reach import _cyclic_states, run_batch
+from bvass1.residue import ResidueCache, _sup_bounds
+
+from helpers import naive_max_coverable, random_instances
+
+
+def _family_systems() -> list[Bvass1]:
+    out = [gen_doubling(n) for n in range(6)]
+    out += [gen_binary_constant(m)[0] for m in (1, 2, 5, 13, 100)]
+    out += [gen_mcvp(gen_random_circuit(seed, num_gates=12))[0] for seed in range(20)]
+    out.append(gen_subset_sum([3, 5, 7], 12)[0])
+    return out
+
+
+def _random_systems() -> list[Bvass1]:
+    """|Q| from 6 to 15, sparse to dense, mostly with branching."""
+    out = []
+    for seed in range(60):
+        nq = 6 + seed % 10
+        out.append(gen_random(nq, nq * (1 + seed % 3), (nq * (seed % 4)) // 3, 1 + seed % 3, 7100 + seed))
+    return out
+
+
+def _all_systems() -> list[Bvass1]:
+    return random_instances() + _family_systems() + _random_systems()
+
+
+def _profile(graph_values) -> list[int]:
+    return [-1 if m is None else m for m in graph_values]
+
+
+# d3 reaches exactly 8 = |Q| + 1, so q, one +1 step below it, covers 7; the
+# upper run keeps the clamp through that step and claims 8
+OVERSHOOT = """
+state f  state u  state d1  state d2  state d3  state q  state z
+final f
+unary u -1 f
+branch d1 u u
+branch d2 d1 d1
+branch d3 d2 d2
+unary q +1 d3
+"""
+
+
+def test_profile_settles_an_overshooting_upper_bound():
+    system = parse_bvass(OVERSHOOT)
+    q = system.state_id("q")
+    lower, upper = _sup_bounds(system, 8)
+    assert (lower[q], upper[q]) == (7, 8)
+    assert build_gain_graph(system).max_coverable[q] == 7
+    assert ResidueCache(system).max_coverable(8) == naive_max_coverable(system, 8)
+
+
+def test_engine_probe_matches_coverable():
+    systems = [s for s in random_instances()[::25] + _random_systems()[::10] if _cyclic_states(s)]
+    assert len(systems) > 20
+    for system in systems:
+        tables = run_batch(system, 1)
+        for q in range(system.num_states):
+            for n0 in range(tables.bound + 1):
+                assert tables._probe(q, n0, 1) == coverable(system, q, n0)
+
+
+def test_gain_graph_profile_matches_naive_scan():
+    for system in _all_systems():
+        expected = naive_max_coverable(system, system.num_states + 1)
+        assert _profile(build_gain_graph(system).max_coverable) == expected
+
+
+def test_engine_profile_matches_naive_scan_at_bound_plus_one():
+    # only pump contexts read the profile, so tables without any leave it empty
+    systems = random_instances()[::10] + _family_systems()[::2] + _random_systems()[::4]
+    for i, system in enumerate(systems):
+        tables = run_batch(system, i % 4)
+        expected = naive_max_coverable(system, tables.bound + 1) if _cyclic_states(system) else []
+        assert tables.max_cover == expected
+
+
+def test_every_emitted_witness_passes_the_checker():
+    emitted = 0
+    for system in _all_systems():
+        for q in range(system.num_states):
+            is_unbounded, reason, witness = unbounded_report(system, q)
+            assert is_unbounded == (witness is not None), reason
+            if is_unbounded:
+                emitted += 1
+                assert check_unbounded_witness(system, q, witness) == (True, "ok")
+    assert emitted > 300
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: renaming and disjoint union change nothing
+
+
+def _relabel(system: Bvass1, new_id: list[int], names: list[str], extra: Bvass1 | None = None) -> Bvass1:
+    """``system`` with state q moved to ``new_id[q]``, plus ``extra``'s states
+    appended after it unchanged in order; ``names`` covers both."""
+    unary = [UnaryTransition(new_id[t.source], t.delta, new_id[t.target]) for t in system.unary]
+    branching = [BranchTransition(new_id[t.source], new_id[t.left], new_id[t.right]) for t in system.branching]
+    finals = {new_id[f] for f in system.finals}
+    if extra is not None:
+        k = system.num_states
+        unary += [UnaryTransition(t.source + k, t.delta, t.target + k) for t in extra.unary]
+        branching += [BranchTransition(t.source + k, t.left + k, t.right + k) for t in extra.branching]
+        finals |= {f + k for f in extra.finals}
+    return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
+
+
+def _renamed(system: Bvass1, rng: random.Random) -> tuple[Bvass1, list[int]]:
+    perm = list(range(system.num_states))
+    rng.shuffle(perm)
+    names = [""] * system.num_states
+    for q, p in enumerate(perm):
+        names[p] = f"r_{system.state_name(q)}"
+    return _relabel(system, perm, names), perm
+
+
+def _union(system: Bvass1, other: Bvass1) -> Bvass1:
+    names = [f"a_{n}" for n in system.state_names] + [f"b_{n}" for n in other.state_names]
+    return _relabel(system, list(range(system.num_states)), names, other)
+
+
+def _metamorphic_systems() -> list[Bvass1]:
+    return random_instances()[::5] + _family_systems()[::3] + _random_systems()[::2]
+
+
+def test_renaming_states_keeps_profile_and_verdicts():
+    rng = random.Random(31)
+    for system in _metamorphic_systems():
+        renamed, perm = _renamed(system, rng)
+        clamp = system.num_states + 1
+        before = ResidueCache(system).max_coverable(clamp)
+        after = ResidueCache(renamed).max_coverable(clamp)
+        assert [after[perm[q]] for q in range(system.num_states)] == before
+        for q in range(system.num_states):
+            assert unbounded_report(renamed, perm[q])[0] == unbounded_report(system, q)[0]
+
+
+def test_disjoint_union_keeps_profile_and_verdicts():
+    for i, system in enumerate(_metamorphic_systems()):
+        other = gen_random(6 + i % 5, 12, 3, 1 + i % 2, 8200 + i)
+        union = _union(system, other)
+        clamp = union.num_states + 1
+        profile = ResidueCache(union).max_coverable(clamp)
+        k = system.num_states
+        assert profile[:k] == ResidueCache(system).max_coverable(clamp)
+        assert profile[k:] == ResidueCache(other).max_coverable(clamp)
+        for q in range(k):
+            assert unbounded_report(union, q)[0] == unbounded_report(system, q)[0]
+        for q in range(other.num_states):
+            assert unbounded_report(union, k + q)[0] == unbounded_report(other, q)[0]
+
+
+def test_unbounded_report_at_80_states_is_fast():
+    # the per-state scan took about a minute here
+    system = gen_random(80, 240, 80, 2, 7)
+    start = time.perf_counter()
+    unbounded_report(system, 0)
+    assert time.perf_counter() - start < 2.0
