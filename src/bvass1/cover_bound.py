@@ -11,10 +11,10 @@ The walk lives in the gain graph: an edge follows one target of a
 transition whose every target covers 0, weighted by what the detour
 through the other target can contribute (its largest coverable value,
 clamped) minus the transition's counter effect.  Unboundedness then
-reduces to a reachable state carrying a positive-gain cycle, with the
-combined prefix and cycle length at most the number of states; a
-dynamic program over walk lengths finds it and yields a witness
-sequence that a separate checker verifies clause by clause.
+reduces to a reachable positive-gain cycle.  One longest-gain
+relaxation from the state finds a simple one; a shortest path to it
+plus the cycle fit in |Q| edges and form a witness sequence that a
+separate checker verifies clause by clause.
 
 The clamped values are the max-coverable profile the reach engine also
 reads (``ResidueCache.max_coverable``); the witness checker does not
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Bvass1
-from .residue import Budget, ResidueCache, ResidueQuery, residue_reachable
+from .residue import DEFAULT_BUDGET, Budget, ResidueCache, ResidueQuery, residue_reachable
 
 
 def coverable(system: Bvass1, state: int, n: int, budget: Budget | None = None) -> bool:
@@ -182,16 +182,20 @@ def _bfs_paths(out: list[list[GainEdge]], start: int) -> tuple[list[int], list[O
 
 
 def unbounded_report(
-    system: Bvass1, state: int, budget: int | None = None
+    system: Bvass1, state: int, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[bool, str, Optional[Witness]]:
     """Decide unboundedness; on success also return a checkable witness.
 
-    best[l][a][b] is the largest total gain of an l-edge walk a -> b in
-    the gain graph; the state is unbounded iff some s with
-    dist(state, s) + l <= |Q| has best[l][s][s] > 0.
+    A longest-gain relaxation (Bellman-Ford) from the state over the
+    edges it reaches: with R reachable states, a round that changes
+    nothing shows that no reachable cycle gains, and a change in round R
+    shows that one does.  The witness is a shortest path to the cycle's
+    state nearest the start, then the cycle: simple, so prefix plus cycle
+    fit in |Q| edges, but not necessarily the shortest positive cycle.
     """
-    b = Budget() if budget is None else Budget(budget)
-    graph = build_gain_graph(system, b)
+    if not 0 <= state < system.num_states:
+        raise ValueError("state out of range")
+    graph = build_gain_graph(system, Budget(budget))
     if graph.max_coverable[state] is None:
         return False, "bounded: the state has an empty reach set", None
     nq = system.num_states
@@ -199,82 +203,55 @@ def unbounded_report(
     for e in graph.edges:
         out[e.source].append(e)
     dist, via = _bfs_paths(out, state)
+    edges = [e for e in graph.edges if dist[e.source] >= 0]
+    rounds = sum(d >= 0 for d in dist)
 
-    # best[a][b] for the current length; bt[l] remembers the first edge
-    best: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
-    for a in range(nq):
-        best[a][a] = 0
-    bts: list[list[list[Optional[GainEdge]]]] = []
-    for length in range(1, nq + 1):
-        new: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
-        bt: list[list[Optional[GainEdge]]] = [[None] * nq for _ in range(nq)]
-        for a in range(nq):
-            row_new = new[a]
-            row_bt = bt[a]
-            for e in out[a]:
-                mid = best[e.target]
-                for target in range(nq):
-                    m = mid[target]
-                    if m is None:
-                        continue
-                    cand = e.gain + m
-                    cur = row_new[target]
-                    if cur is None or cand > cur:
-                        row_new[target] = cand
-                        row_bt[target] = e
-        best = new
-        bts.append(bt)
-        for s in range(nq):
-            if dist[s] >= 0 and dist[s] + length <= nq:
-                gain = best[s][s]
-                if gain is not None and gain > 0:
-                    witness = _build_witness(system, graph, state, s, length, via, bts)
-                    return True, f"unbounded: cycle of length {length} at {system.state_name(s)} gains {gain}", witness
-    return False, "bounded: no reachable positive-gain cycle fits the length bound", None
+    # best[q] is the largest gain of a walk state -> q found so far; pred[q]
+    # its last edge
+    best: list[Optional[int]] = [None] * nq
+    best[state] = 0
+    pred: list[Optional[GainEdge]] = [None] * nq
+    for _ in range(rounds):
+        improved = -1
+        for e in edges:
+            g = best[e.source]
+            if g is not None and (best[e.target] is None or g + e.gain > best[e.target]):
+                best[e.target] = g + e.gain
+                pred[e.target] = e
+                improved = e.target
+        if improved < 0:
+            return False, "bounded: no reachable positive-gain cycle fits the length bound", None
 
-
-def _build_witness(
-    system: Bvass1,
-    graph: GainGraph,
-    start: int,
-    s: int,
-    length: int,
-    via: list[Optional[GainEdge]],
-    bts: list[list[list[Optional[GainEdge]]]],
-) -> Witness:
+    # improved in round R: R predecessor steps land on a cycle of the
+    # predecessor edges, and such a cycle has positive gain
+    q = improved
+    for _ in range(rounds):
+        q = pred[q].source
+    cycle = [pred[q]]
+    while cycle[-1].source != q:
+        cycle.append(pred[cycle[-1].source])
+    cycle.reverse()
+    entry = min(range(len(cycle)), key=lambda i: dist[cycle[i].source])
+    cycle = cycle[entry:] + cycle[:entry]
+    s = cycle[0].source
+    # the shortest path to s meets no other cycle state: all are as far
     prefix: list[GainEdge] = []
     q = s
-    while q != start:
-        e = via[q]
-        assert e is not None
-        prefix.append(e)
-        q = e.source
+    while q != state:
+        prefix.append(via[q])
+        q = via[q].source
     prefix.reverse()
 
-    cycle: list[GainEdge] = []
-    a = s
-    for step in range(length, 0, -1):
-        e = bts[step - 1][a][s]
-        assert e is not None
-        cycle.append(e)
-        a = e.target
-    assert a == s
-
-    edges = prefix + cycle
-    states = [start] + [e.target for e in edges]
-    transitions = tuple((e.kind, e.index) for e in edges)
-    n_values = []
-    for e in cycle:
-        if e.kind == "unary":
-            n_values.append(0)
-        else:
-            t = system.branching[e.index]
-            sibling = t.right if e.target == t.left else t.left
-            cov = graph.max_coverable[sibling]
-            assert cov is not None
-            n_values.append(cov)
-    return Witness(tuple(states), transitions, len(prefix), tuple(n_values))
+    walk = prefix + cycle
+    witness = Witness(
+        (state,) + tuple(e.target for e in walk),
+        tuple((e.kind, e.index) for e in walk),
+        len(prefix),
+        tuple(0 if e.kind == "unary" else e.gain for e in cycle),
+    )
+    gain = sum(e.gain for e in cycle)
+    return True, f"unbounded: cycle of length {len(cycle)} at {system.state_name(s)} gains {gain}", witness
 
 
-def unbounded(system: Bvass1, state: int, budget: int | None = None) -> bool:
+def unbounded(system: Bvass1, state: int, budget: int | None = DEFAULT_BUDGET) -> bool:
     return unbounded_report(system, state, budget)[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from bvass1.cover_bound import coverable
+from bvass1.cover_bound import GainEdge, GainGraph, Witness, _bfs_paths, build_gain_graph, coverable
 from bvass1.gen import gen_random
 from bvass1.model import (
     Bvass1,
@@ -16,7 +16,7 @@ from bvass1.model import (
     lca,
     parse_bvass,
 )
-from bvass1.residue import ResidueQuery, compute_table
+from bvass1.residue import Budget, ResidueQuery, compute_table
 
 LOOP_TEXT = """
 state a  state f
@@ -242,3 +242,98 @@ def naive_max_coverable(system: Bvass1, clamp: int) -> list[int]:
             best = n
         out.append(best)
     return out
+
+
+def naive_unbounded_report(
+    system: Bvass1, state: int, budget: int | None = None
+) -> tuple[bool, str, Optional[Witness]]:
+    """The walk-length dynamic program that ``unbounded_report`` replaced.
+
+    best[l][a][b] is the largest total gain of an l-edge walk a -> b in
+    the gain graph; the state is unbounded iff some s with
+    dist(state, s) + l <= |Q| has best[l][s][s] > 0.
+    """
+    b = Budget() if budget is None else Budget(budget)
+    graph = build_gain_graph(system, b)
+    if graph.max_coverable[state] is None:
+        return False, "bounded: the state has an empty reach set", None
+    nq = system.num_states
+    out: list[list[GainEdge]] = [[] for _ in range(nq)]
+    for e in graph.edges:
+        out[e.source].append(e)
+    dist, via = _bfs_paths(out, state)
+
+    # best[a][b] for the current length; bt[l] remembers the first edge
+    best: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
+    for a in range(nq):
+        best[a][a] = 0
+    bts: list[list[list[Optional[GainEdge]]]] = []
+    for length in range(1, nq + 1):
+        new: list[list[Optional[int]]] = [[None] * nq for _ in range(nq)]
+        bt: list[list[Optional[GainEdge]]] = [[None] * nq for _ in range(nq)]
+        for a in range(nq):
+            row_new = new[a]
+            row_bt = bt[a]
+            for e in out[a]:
+                mid = best[e.target]
+                for target in range(nq):
+                    m = mid[target]
+                    if m is None:
+                        continue
+                    cand = e.gain + m
+                    cur = row_new[target]
+                    if cur is None or cand > cur:
+                        row_new[target] = cand
+                        row_bt[target] = e
+        best = new
+        bts.append(bt)
+        for s in range(nq):
+            if dist[s] >= 0 and dist[s] + length <= nq:
+                gain = best[s][s]
+                if gain is not None and gain > 0:
+                    witness = _naive_build_witness(system, graph, state, s, length, via, bts)
+                    return True, f"unbounded: cycle of length {length} at {system.state_name(s)} gains {gain}", witness
+    return False, "bounded: no reachable positive-gain cycle fits the length bound", None
+
+
+def _naive_build_witness(
+    system: Bvass1,
+    graph: GainGraph,
+    start: int,
+    s: int,
+    length: int,
+    via: list[Optional[GainEdge]],
+    bts: list[list[list[Optional[GainEdge]]]],
+) -> Witness:
+    prefix: list[GainEdge] = []
+    q = s
+    while q != start:
+        e = via[q]
+        assert e is not None
+        prefix.append(e)
+        q = e.source
+    prefix.reverse()
+
+    cycle: list[GainEdge] = []
+    a = s
+    for step in range(length, 0, -1):
+        e = bts[step - 1][a][s]
+        assert e is not None
+        cycle.append(e)
+        a = e.target
+    assert a == s
+
+    edges = prefix + cycle
+    states = [start] + [e.target for e in edges]
+    transitions = tuple((e.kind, e.index) for e in edges)
+    n_values = []
+    for e in cycle:
+        if e.kind == "unary":
+            n_values.append(0)
+        else:
+            t = system.branching[e.index]
+            sibling = t.right if e.target == t.left else t.left
+            cov = graph.max_coverable[sibling]
+            assert cov is not None
+            n_values.append(cov)
+    return Witness(tuple(states), transitions, len(prefix), tuple(n_values))

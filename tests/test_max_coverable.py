@@ -173,3 +173,12 @@ def test_unbounded_report_at_80_states_is_fast():
     start = time.perf_counter()
     unbounded_report(system, 0)
     assert time.perf_counter() - start < 2.0
+
+
+def test_bounded_query_on_a_400_gate_circuit_is_fast():
+    # the walk-length program took about 5 s here
+    system = gen_mcvp(gen_random_circuit(1, 400))[0]
+    start = time.perf_counter()
+    is_unbounded, reason, _ = unbounded_report(system, 0)
+    assert time.perf_counter() - start < 1.0
+    assert not is_unbounded and reason.startswith("bounded")
