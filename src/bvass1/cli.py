@@ -41,7 +41,6 @@ from .model import (
 )
 from .oracle import bounded_reach_set, oracle_residue, oracle_unbounded_hint
 from .reach import (
-    DEFAULT_WITNESS_CAP,
     ExpandOverflow,
     ReachQuery,
     WitnessSearchFailed,

@@ -188,10 +188,14 @@ def unbounded_report(
 
     A longest-gain relaxation (Bellman-Ford) from the state over the
     edges it reaches: with R reachable states, a round that changes
-    nothing shows that no reachable cycle gains, and a change in round R
-    shows that one does.  The witness is a shortest path to the cycle's
-    state nearest the start, then the cycle: simple, so prefix plus cycle
-    fit in |Q| edges, but not necessarily the shortest positive cycle.
+    nothing shows that no reachable cycle gains.  After each round that
+    changes something, the predecessor edges are walked back R steps from
+    the last improved state; if the walk never runs out, it has closed a
+    cycle of predecessor edges, which always gains, and the search stops.
+    A change in round R guarantees such a cycle, so at most R rounds run.
+    The witness is a shortest path to the cycle's state nearest the
+    start, then the cycle: simple, so prefix plus cycle fit in |Q| edges,
+    but not necessarily the shortest positive cycle.
     """
     if not 0 <= state < system.num_states:
         raise ValueError("state out of range")
@@ -221,12 +225,17 @@ def unbounded_report(
                 improved = e.target
         if improved < 0:
             return False, "bounded: no reachable positive-gain cycle fits the length bound", None
+        # a cycle of predecessor edges has positive gain; R steps back from
+        # the last improved state end on one when its chain meets one,
+        # which a change in round R guarantees
+        q = improved
+        for _ in range(rounds):
+            if pred[q] is None:
+                break
+            q = pred[q].source
+        else:
+            break
 
-    # improved in round R: R predecessor steps land on a cycle of the
-    # predecessor edges, and such a cycle has positive gain
-    q = improved
-    for _ in range(rounds):
-        q = pred[q].source
     cycle = [pred[q]]
     while cycle[-1].source != q:
         cycle.append(pred[cycle[-1].source])

@@ -19,9 +19,9 @@ is spelled "e" in text files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Optional
 
 Z_VALUES = (-1, 0, 1)
 

@@ -24,12 +24,16 @@ step from s(n) enters a path of the context.  Contexts are only created
 for states on directed cycles (a path returning to s needs one) and for
 leaf counters not above the state's largest coverable value.
 
-Every new bit records the rule that first set it plus a timestamp, so a
-positive answer replays into a concrete certificate deterministically.
+The reach masks are a ``residue.BoundedReach`` kernel under B: it
+applies the system's own rules (and saturates self-loops), and the pump
+rules add to it.  The kernel records one tick and rule per add event;
+a path table records the tick and rule of the add event on each new
+bit.  All ticks come from the kernel's clock, so a rule's premises
+always carry smaller ticks than its conclusion, and a positive answer
+replays into a concrete certificate deterministically.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -45,11 +49,11 @@ from .model import (
 )
 from .residue import (
     DEFAULT_BUDGET,
+    BoundedReach,
     Budget,
     BudgetExceeded,
     ResidueCache,
     ResidueQuery,
-    _bounded_value_masks,
     _shift_parent,
     _sumset,
     compute_table,
@@ -210,10 +214,18 @@ class _Context:
         self.state = state
         self.m_star = m_star
         self.masks = [0] * num_states
-        # per state: counter -> (timestamp, justification)
+        # per state: counter -> (tick, justification)
         self.info: list[dict[int, tuple[int, tuple]]] = [{} for _ in range(num_states)]
         self.probed = 0  # anchor counters whose residue query was already asked
         self.back = back  # states with a path to self.state
+
+    def as_of(self, q: int, before: int) -> int:
+        """The bits of q set by add events with ticks below ``before``."""
+        out = 0
+        for m, (tick, _) in self.info[q].items():
+            if tick < before:
+                out |= 1 << m
+        return out
 
 
 class FixpointTables:
@@ -221,6 +233,9 @@ class FixpointTables:
 
     Build it through run_query or run_batch.  ``holds(q, n)`` answers
     reachability for any n up to the construction's counter allowance.
+    The reach tables are a justified ``BoundedReach`` kernel under the
+    bound; the pump rules add to it, and its queue and clock carry the
+    path events too.
     """
 
     def __init__(
@@ -236,40 +251,25 @@ class FixpointTables:
         self.complete_to = complete_to
         self.budget = budget
         self.residue_cache = ResidueCache(system, budget)
-        # only pump contexts read the profile; expansion's tables have none
+        # only pump contexts read the profile
         self.max_cover = self.residue_cache.max_coverable(bound + 1) if context_states else []
 
         nq = system.num_states
-        self._full = (1 << (bound + 1)) - 1
-        self.reach_masks = [0] * nq
-        self.reach_info: list[dict[int, tuple[int, tuple]]] = [{} for _ in range(nq)]
-        self._tick = 0
         budget.charge(nq)
-
-        self._up_unary: list[list[int]] = [[] for _ in range(nq)]
-        for i, t in enumerate(system.unary):
-            self._up_unary[t.target].append(i)
-        self._br_left: list[list[int]] = [[] for _ in range(nq)]
-        self._br_right: list[list[int]] = [[] for _ in range(nq)]
-        for i, t in enumerate(system.branching):
-            self._br_left[t.left].append(i)
-            self._br_right[t.right].append(i)
 
         self.contexts: list[_Context] = []
         # reach-delta watchers: state -> [(ctx, branch, p_side)]
         self._pb_watch: list[list[tuple[int, int, int]]] = [[] for _ in range(nq)]
-        self._top_watch: list[list[tuple[int, int, int]]] = [[] for _ in range(nq)]
         self._activate_contexts(context_states)
 
-        self._pending_r = [0] * nq
+        # one queue for both tables: reach keys are states, path keys (ctx, state)
+        self.reach = BoundedReach(system, bound, justify=True, budget=budget)
+        self.reach_masks = self.reach.masks
         self._pending_p: list[list[int]] = [[0] * nq for _ in self.contexts]
-        self._queue: deque[tuple] = deque()
-        self._queued: set[tuple] = set()
+        self._queued: set[tuple[int, int]] = set()
 
         for ci, ctx in enumerate(self.contexts):
             self._add_p(ci, ctx.state, 1 << ctx.m_star, ("self",))
-        for f in sorted(system.finals):
-            self._add_r(f, 1, ("final",))
         self._run()
 
     # -- setup
@@ -287,12 +287,8 @@ class FixpointTables:
                 for i, t in enumerate(system.branching):
                     if t.left in ctx.back:
                         self._pb_watch[t.right].append((ci, i, 0))
-                        if t.source == s:
-                            self._top_watch[t.right].append((ci, i, 0))
                     if t.right in ctx.back:
                         self._pb_watch[t.left].append((ci, i, 1))
-                        if t.source == s:
-                            self._top_watch[t.left].append((ci, i, 1))
 
     # -- residue probes
 
@@ -303,28 +299,9 @@ class FixpointTables:
 
     # -- table updates
 
-    def _add_r(self, q: int, bits: int, just: tuple) -> None:
-        new = bits & self._full & ~self.reach_masks[q]
-        if not new:
-            return
-        self.budget.charge(new.bit_count())
-        self.reach_masks[q] |= new
-        info = self.reach_info[q]
-        m = new
-        while m:
-            low = m & -m
-            self._tick += 1
-            info[low.bit_length() - 1] = (self._tick, just)
-            m ^= low
-        self._pending_r[q] |= new
-        key = ("r", q)
-        if key not in self._queued:
-            self._queued.add(key)
-            self._queue.append(key)
-
     def _add_p(self, ci: int, q: int, bits: int, just: tuple) -> None:
         ctx = self.contexts[ci]
-        bits &= self._full
+        bits &= self.reach.full
         if q == ctx.state:
             # interior path nodes must not sit below the leaf counter,
             # or the leaf's deepest smaller ancestor moves off the anchor
@@ -334,18 +311,19 @@ class FixpointTables:
             return
         self.budget.charge(new.bit_count())
         ctx.masks[q] |= new
+        self.reach.tick += 1
+        tick = self.reach.tick
         info = ctx.info[q]
         m = new
         while m:
             low = m & -m
-            self._tick += 1
-            info[low.bit_length() - 1] = (self._tick, just)
+            info[low.bit_length() - 1] = (tick, just)
             m ^= low
         self._pending_p[ci][q] |= new
-        key = ("p", ci, q)
+        key = (ci, q)
         if key not in self._queued:
             self._queued.add(key)
-            self._queue.append(key)
+            self.reach.queue.append(key)
 
     # -- rule application
 
@@ -360,72 +338,59 @@ class FixpointTables:
             n = low.bit_length() - 1
             ctx.probed |= low
             if self._probe(ctx.state, ctx.m_star, ctx.m_star - n):
-                self._add_r(ctx.state, low, just)
+                self.reach.add(ctx.state, low, just)
             m ^= low
         # bits probed positive earlier are already reach bits; nothing to redo
 
     def _run(self) -> None:
-        while self._queue:
-            key = self._queue.popleft()
-            self._queued.discard(key)
-            if key[0] == "r":
-                q = key[1]
-                delta = self._pending_r[q]
-                self._pending_r[q] = 0
+        reach = self.reach
+        queue = reach.queue
+        while queue:
+            key = queue.popleft()
+            if type(key) is int:
+                delta = reach.step(key)
                 if delta:
-                    self._on_reach_delta(q, delta)
+                    self._on_reach_delta(key, delta)
             else:
-                _, ci, q = key
+                self._queued.discard(key)
+                ci, q = key
                 delta = self._pending_p[ci][q]
                 self._pending_p[ci][q] = 0
                 if delta:
                     self._on_path_delta(ci, q, delta)
 
     def _on_reach_delta(self, q: int, delta: int) -> None:
+        """Reach bits as side branches of the path tables; the kernel has
+        already applied the reach rules."""
         system = self.system
-        for ti in self._up_unary[q]:
-            t = system.unary[ti]
-            self._add_r(t.source, _shift_parent(delta, t.delta), ("unary", ti))
-        for bi in self._br_left[q]:
-            t = system.branching[bi]
-            self._add_r(t.source, _sumset(delta, self.reach_masks[t.right]), ("branch", bi))
-        for bi in self._br_right[q]:
-            t = system.branching[bi]
-            self._add_r(t.source, _sumset(self.reach_masks[t.left], delta), ("branch", bi))
         for (ci, bi, p_side) in self._pb_watch[q]:
             t = system.branching[bi]
             ctx = self.contexts[ci]
             pmask = ctx.masks[t.left if p_side == 0 else t.right]
             if pmask:
-                self._add_p(ci, t.source, _sumset(delta, pmask), ("branch", bi, p_side))
-        for (ci, bi, p_side) in self._top_watch[q]:
-            t = system.branching[bi]
-            ctx = self.contexts[ci]
-            pmask = ctx.masks[t.left if p_side == 0 else t.right]
-            if pmask:
-                self._fire_top(ci, _sumset(delta, pmask), ("pump_branch", ci, bi, p_side))
+                bits = _sumset(delta, pmask)
+                self._add_p(ci, t.source, bits, ("branch", bi, p_side))
+                if t.source == ctx.state:
+                    self._fire_top(ci, bits, ("pump_branch", ci, bi, p_side))
 
     def _on_path_delta(self, ci: int, q: int, delta: int) -> None:
-        system = self.system
-        ctx = self.contexts[ci]
-        for ti in self._up_unary[q]:
-            t = system.unary[ti]
-            bits = _shift_parent(delta, t.delta)
-            self._add_p(ci, t.source, bits, ("unary", ti))
-            if t.source == ctx.state:
-                self._fire_top(ci, bits, ("pump_unary", ci, ti))
-        for bi in self._br_left[q]:
-            t = system.branching[bi]
-            bits = _sumset(delta, self.reach_masks[t.right])
-            self._add_p(ci, t.source, bits, ("branch", bi, 0))
-            if t.source == ctx.state:
-                self._fire_top(ci, bits, ("pump_branch", ci, bi, 0))
-        for bi in self._br_right[q]:
-            t = system.branching[bi]
-            bits = _sumset(self.reach_masks[t.left], delta)
-            self._add_p(ci, t.source, bits, ("branch", bi, 1))
-            if t.source == ctx.state:
-                self._fire_top(ci, bits, ("pump_branch", ci, bi, 1))
+        reach = self.reach
+        s = self.contexts[ci].state
+        for (src, z, rule) in reach.up[q]:
+            bits = _shift_parent(delta, z)
+            self._add_p(ci, src, bits, rule)
+            if src == s:
+                self._fire_top(ci, bits, ("pump_unary", ci, rule[1]))
+        for (src, right, rule) in reach.by_left[q]:
+            bits = _sumset(delta, self.reach_masks[right])
+            self._add_p(ci, src, bits, ("branch", rule[1], 0))
+            if src == s:
+                self._fire_top(ci, bits, ("pump_branch", ci, rule[1], 0))
+        for (src, left, rule) in reach.by_right[q]:
+            bits = _sumset(self.reach_masks[left], delta)
+            self._add_p(ci, src, bits, ("branch", rule[1], 1))
+            if src == s:
+                self._fire_top(ci, bits, ("pump_branch", ci, rule[1], 1))
 
     # -- results
 
@@ -465,20 +430,15 @@ def decide_reach(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> bool
 # certificate extraction
 
 
-def _resolve_branch_split(
-    left_bits: int,
-    left_info: dict[int, tuple[int, tuple]],
-    right_bits: int,
-    right_info: dict[int, tuple[int, tuple]],
-    total: int,
-    before: int,
-) -> int:
-    """Lowest left counter whose pair was derivable before the parent."""
+def _resolve_branch_split(left: int, right: int, total: int) -> int:
+    """Lowest left counter m0 with bit m0 of left and bit total - m0 of right.
+
+    The callers pass the two tables as they stood before the parent's
+    tick, so the split found is one the parent's rule could have used.
+    """
     for m0 in range(total + 1):
-        m1 = total - m0
-        if (left_bits >> m0) & 1 and (right_bits >> m1) & 1:
-            if left_info[m0][0] < before and right_info[m1][0] < before:
-                return m0
+        if (left >> m0) & 1 and (right >> (total - m0)) & 1:
+            return m0
     raise AssertionError("no justified split found; the fixpoint tables are inconsistent")
 
 
@@ -486,96 +446,70 @@ class _ReplayOverLimit(Exception):
     """A size-limited replay grew past its allowance."""
 
 
+def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int], q: int, m: int) -> tuple:
+    """How the first justification of q(m) in one table unfolds.
+
+    Returns (starts a path, children) with children as (address suffix,
+    context index or None for a reach node, state, counter); children is
+    None at a pumped leaf.  A pump rule at a reach node starts a path of
+    its context anchored at that node.
+    """
+    ts, rule = reach.rule_of(q, m) if ci is None else contexts[ci].info[q][m]
+    kind = rule[0]
+    if kind == "final":
+        return False, ()
+    if kind == "self":
+        return False, None
+    starts_path = kind.startswith("pump_")
+    if starts_path:
+        # ("pump_unary", ci, ti) or ("pump_branch", ci, bi, p_side)
+        ci = rule[1]
+        rule = (kind[5:],) + rule[2:]
+    if rule[0] == "unary":
+        t = reach.system.unary[rule[1]]
+        return starts_path, (("0", ci, t.target, m + t.delta),)
+    # a branch; on a path, the path continues on side rule[2]
+    t = reach.system.branching[rule[1]]
+    lci = ci if ci is not None and rule[2] == 0 else None
+    rci = ci if ci is not None and rule[2] == 1 else None
+    left = reach.as_of(t.left, ts) if lci is None else contexts[lci].as_of(t.left, ts)
+    right = reach.as_of(t.right, ts) if rci is None else contexts[rci].as_of(t.right, ts)
+    m0 = _resolve_branch_split(left, right, m)
+    return starts_path, (("0", lci, t.left, m0), ("1", rci, t.right, m - m0))
+
+
 def _replay(
-    tables: FixpointTables, state: int, n: int, node_limit: int | None = None
+    reach: BoundedReach, contexts: list[_Context], state: int, n: int, node_limit: int | None = None
 ) -> tuple[dict[str, Config], dict[str, tuple[str, int]]]:
-    system = tables.system
+    """Read the derivation of state(n) back from the first justifications.
+
+    Labels repeat across a tree, so each (table, state, counter) is
+    unfolded once.
+    """
     labels: dict[str, Config] = {}
     pumps: dict[str, tuple[str, int]] = {}
-    # stack items: ("r", addr, state, n) or ("p", addr, ctx index, state, n, anchor addr)
-    stack: list[tuple] = [("r", "", state, n)]
+    steps: dict[tuple, tuple] = {}
+    # stack items: (address, context index or None for a reach node, state, counter, anchor address)
+    stack: list[tuple] = [("", None, state, n, "")]
     while stack:
-        item = stack.pop()
+        addr, ci, q, m, anchor = stack.pop()
         if node_limit is not None and len(labels) >= node_limit:
             raise _ReplayOverLimit
         if len(labels) >= _REPLAY_NODE_LIMIT:
             raise AssertionError("replayed tree grew past the safety limit")
-        if item[0] == "r":
-            _, addr, q, m = item
-            labels[addr] = Config(q, m)
-            ts, just = tables.reach_info[q][m]
-            kind = just[0]
-            if kind == "final":
-                continue
-            if kind == "unary":
-                t = system.unary[just[1]]
-                stack.append(("r", addr + "0", t.target, m + t.delta))
-            elif kind == "branch":
-                t = system.branching[just[1]]
-                m0 = _resolve_branch_split(
-                    tables.reach_masks[t.left],
-                    tables.reach_info[t.left],
-                    tables.reach_masks[t.right],
-                    tables.reach_info[t.right],
-                    m,
-                    ts,
-                )
-                stack.append(("r", addr + "0", t.left, m0))
-                stack.append(("r", addr + "1", t.right, m - m0))
-            elif kind == "pump_unary":
-                _, ci, ti = just
-                t = system.unary[ti]
-                stack.append(("p", addr + "0", ci, t.target, m + t.delta, addr))
-            else:  # pump_branch
-                _, ci, bi, p_side = just
-                t = system.branching[bi]
-                ctx = tables.contexts[ci]
-                if p_side == 0:
-                    m0 = _resolve_branch_split(
-                        ctx.masks[t.left], ctx.info[t.left],
-                        tables.reach_masks[t.right], tables.reach_info[t.right],
-                        m, ts,
-                    )
-                    stack.append(("p", addr + "0", ci, t.left, m0, addr))
-                    stack.append(("r", addr + "1", t.right, m - m0))
-                else:
-                    m0 = _resolve_branch_split(
-                        tables.reach_masks[t.left], tables.reach_info[t.left],
-                        ctx.masks[t.right], ctx.info[t.right],
-                        m, ts,
-                    )
-                    stack.append(("r", addr + "0", t.left, m0))
-                    stack.append(("p", addr + "1", ci, t.right, m - m0, addr))
-        else:
-            _, addr, ci, q, m, anchor = item
-            labels[addr] = Config(q, m)
-            ctx = tables.contexts[ci]
-            ts, just = ctx.info[q][m]
-            kind = just[0]
-            if kind == "self":
-                pumps[addr] = (anchor, ctx.m_star - labels[anchor].counter)
-            elif kind == "unary":
-                t = system.unary[just[1]]
-                stack.append(("p", addr + "0", ci, t.target, m + t.delta, anchor))
-            else:  # branch with the path continuing on just[2]
-                _, bi, p_side = just
-                t = system.branching[bi]
-                if p_side == 0:
-                    m0 = _resolve_branch_split(
-                        ctx.masks[t.left], ctx.info[t.left],
-                        tables.reach_masks[t.right], tables.reach_info[t.right],
-                        m, ts,
-                    )
-                    stack.append(("p", addr + "0", ci, t.left, m0, anchor))
-                    stack.append(("r", addr + "1", t.right, m - m0))
-                else:
-                    m0 = _resolve_branch_split(
-                        tables.reach_masks[t.left], tables.reach_info[t.left],
-                        ctx.masks[t.right], ctx.info[t.right],
-                        m, ts,
-                    )
-                    stack.append(("r", addr + "0", t.left, m0))
-                    stack.append(("p", addr + "1", ci, t.right, m - m0, anchor))
+        labels[addr] = Config(q, m)
+        key = (ci, q, m)
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = _replay_step(reach, contexts, ci, q, m)
+        starts_path, children = step
+        if children is None:
+            pumps[addr] = (anchor, contexts[ci].m_star - labels[anchor].counter)
+            continue
+        if starts_path:
+            anchor = addr
+        for suffix, cci, cq, cm in children:
+            stack.append((addr + suffix, cci, cq, cm, anchor))
     return labels, pumps
 
 
@@ -583,7 +517,7 @@ def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificat
     """Replay the recorded first justifications into one certificate."""
     if not tables.holds(query.state, query.n):
         raise ValueError("extract_certificate needs a positive decision")
-    labels, raw_pumps = _replay(tables, query.state, query.n)
+    labels, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
     pumps = {leaf: PumpRecord(anchor=anchor, modulus=d) for leaf, (anchor, d) in sorted(raw_pumps.items())}
     return Certificate(tree=PartialTree(labels), pumps=pumps)
 
@@ -656,27 +590,27 @@ def check_certificate(system: Bvass1, certificate: Certificate, claimed: Config)
 
 def _witness_value_scan(
     system: Bvass1, state: int, start: int, d: int, search_cap: int
-) -> tuple[int, int, int]:
+) -> tuple[int, BoundedReach, int]:
     """Smallest reachable value >= start congruent to start modulo d.
 
     Searches complete derivations whose counters stay under a doubling
     cap; intermediate counters may need to be much larger than the value
-    itself, hence the cap growth.  Returns (value, cap found at, largest
-    cap tried without finding it); the last is 0 on a first-cap hit and
-    lets the caller bound the witness tree size from below before
-    committing to a replay.
+    itself, hence the cap growth.  Returns (value, the justified kernel
+    at the cap it was found at, largest cap tried without finding it);
+    the last is 0 on a first-cap hit and lets the caller bound the
+    witness tree size from below before committing to a replay.
     """
     cap = max(4 * (start + 2 * system.num_states), 64)
     prev = 0
     while True:
         cap = min(cap, search_cap)
-        masks = _bounded_value_masks(system, cap)
-        mask = masks[state]
+        reach = BoundedReach(system, cap, justify=True)
+        reach.run()
         # byte view: per-position tests on the huge mask must stay O(1)
-        buf = mask.to_bytes(cap // 8 + 1, "little")
+        buf = reach.masks[state].to_bytes(cap // 8 + 1, "little")
         for v in range(start, cap + 1, d):
             if buf[v >> 3] & (1 << (v & 7)):
-                return v, cap, prev
+                return v, reach, prev
         if cap >= search_cap:
             raise WitnessSearchFailed(
                 f"no reachable value >= {start} congruent modulo {d} at state "
@@ -707,15 +641,15 @@ def expand_certificate(
         anchor = rec.anchor
         d = rec.modulus
         leaf_cfg = labels[leaf]
-        value, cap, cap_prev = _witness_value_scan(
+        value, witness, cap_prev = _witness_value_scan(
             system, leaf_cfg.state, leaf_cfg.counter, d, search_cap
         )
         k = (value - leaf_cfg.counter) // d
 
-        # cheap overflow bounds before any justified table is built: a
-        # derivation missing from the cap_prev-bounded fixpoint contains a
-        # counter above cap_prev, and a node with counter c heads a subtree
-        # of more than c nodes (its value is consumed one step at a time)
+        # cheap overflow bounds before any replay: a derivation missing from
+        # the cap_prev-bounded fixpoint contains a counter above cap_prev,
+        # and a node with counter c heads a subtree of more than c nodes
+        # (its value is consumed one step at a time)
         if cap_prev >= max_nodes:
             raise ExpandOverflow(cap_prev + 1, max_nodes)
 
@@ -730,14 +664,10 @@ def expand_certificate(
         if base_nodes + 1 > max_nodes:
             raise ExpandOverflow(base_nodes + 1, max_nodes)
 
-        wit_tables = FixpointTables(system, cap, cap, set(), Budget(None))
         try:
-            wit_labels, wit_pumps = _replay(
-                wit_tables, leaf_cfg.state, value, node_limit=max_nodes - base_nodes + 1
-            )
+            wit_labels, _ = _replay(witness, [], leaf_cfg.state, value, node_limit=max_nodes - base_nodes + 1)
         except _ReplayOverLimit:
             raise ExpandOverflow(max_nodes + 1, max_nodes) from None
-        assert not wit_pumps, "witness tables were built without pump contexts"
         projected = base_nodes + len(wit_labels)
         if projected > max_nodes:
             raise ExpandOverflow(projected, max_nodes)

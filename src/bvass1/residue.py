@@ -15,8 +15,13 @@ answers the query by one membership test.
 
 Value sets are packed into Python integers, one bit per counter value
 (or per residue class); the fixpoints are semi-naive worklists over
-those masks.  The set-level operations (``delta_unary`` and friends)
-are also exposed literally for cross-checking in tests.
+those masks.  S comes from ``BoundedReach``, the one bounded-reach
+kernel, which the reach engine (its reach rules under the bound B) and
+certificate expansion (the witness for each pumped leaf) run as well.
+Those two record one tick and rule per add event, to replay a
+derivation; the residue tables never replay and record none.  The
+set-level operations (``delta_unary`` and friends) are also exposed
+literally for cross-checking in tests.
 """
 from __future__ import annotations
 
@@ -180,79 +185,127 @@ def _cyclic_sumset(a: int, b: int, d: int) -> int:
     return out
 
 
-def _bounded_value_masks(system: Bvass1, cap: int, budget: Budget | None = None) -> list[int]:
-    """Per-state bitmask of values in [0, cap] with a cap-bounded derivation.
+class BoundedReach:
+    """Per-state bitmasks of the values in [0, cap] with a cap-bounded derivation.
 
-    Semi-naive worklist; a state's own +1/-1 self-loops are saturated in
-    closed form (they fill the mask downward resp. upward), which keeps
-    long pump chains from dribbling through the queue one bit at a time.
+    The one bounded-reach fixpoint: S of the residue tables, the reach
+    masks of the reach engine under its bound B, and expansion's witness
+    tables.  ``run`` closes the masks under the system's rules (finals at
+    0, unary steps, branch sums) with a semi-naive worklist; callers that
+    interleave rules of their own (the reach engine's pump rules) call
+    ``add`` and ``step`` and drive ``queue`` themselves.  A state's own
+    +1/-1 self-loops are saturated in closed form (they fill the mask
+    downward resp. upward), which keeps long pump chains from dribbling
+    through the queue one bit at a time.
+
+    With ``justify``, each add event appends one ``(tick, rule, bits)``
+    entry to the state's log, and a bit filled by a self-loop is
+    justified by that loop, whose child is the neighbour toward the bit
+    that started the fill.  Every add takes a fresh tick of ``tick``, a
+    clock other tables may share, so the premises of a rule were set by
+    events with strictly smaller ticks; ``rule_of`` and ``as_of`` let a
+    replay read a derivation back.  With a budget, each new bit is
+    charged as it is set.
     """
-    if budget is not None:
-        budget.charge(system.num_states * (cap + 1))
-    nq = system.num_states
-    full = (1 << (cap + 1)) - 1
 
-    up_unary: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
-    fill_down = [False] * nq
-    fill_up = [False] * nq
-    for t in system.unary:
-        up_unary[t.target].append((t.source, t.delta))
-        if t.source == t.target:
-            if t.delta == 1:
-                fill_down[t.source] = True
-            elif t.delta == -1:
-                fill_up[t.source] = True
-    by_left: list[list[int]] = [[] for _ in range(nq)]
-    by_right: list[list[int]] = [[] for _ in range(nq)]
-    for i, t in enumerate(system.branching):
-        by_left[t.left].append(i)
-        by_right[t.right].append(i)
+    def __init__(self, system: Bvass1, cap: int, justify: bool = False, budget: Budget | None = None):
+        nq = system.num_states
+        self.system = system
+        self.cap = cap
+        self.full = (1 << (cap + 1)) - 1
+        self.budget = budget
+        self.log: list[list[tuple[int, tuple, int]]] | None = [[] for _ in range(nq)] if justify else None
+        self.tick = 0
+        # rules by premise state: (conclusion state, shift or sibling, rule)
+        self.up: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        self.by_left: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        self.by_right: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        # per state, the rule of its +1 loop (fills down) and of its -1 loop (fills up)
+        self._loops: list[list[tuple | None]] = [[None, None] for _ in range(nq)]
+        for i, t in enumerate(system.unary):
+            rule = ("unary", i)
+            self.up[t.target].append((t.source, t.delta, rule))
+            if t.source == t.target and t.delta:
+                self._loops[t.source][t.delta < 0] = rule
+        for i, t in enumerate(system.branching):
+            rule = ("branch", i)
+            self.by_left[t.left].append((t.source, t.right, rule))
+            self.by_right[t.right].append((t.source, t.left, rule))
+        self.masks = [0] * nq
+        self._pending = [0] * nq
+        self._queued = [False] * nq
+        self.queue: deque = deque()
+        for f in sorted(system.finals):
+            self.add(f, 1, ("final",))
 
-    masks = [0] * nq
-    pending = [0] * nq
-    queue: list[int] = []
-    queued = [False] * nq
-
-    def close(q: int, mask: int) -> int:
-        if mask and fill_down[q]:
-            mask = (1 << mask.bit_length()) - 1
-        if mask and fill_up[q]:
-            low = (mask & -mask).bit_length() - 1
-            mask |= full & ~((1 << low) - 1)
-        return mask
-
-    def add(q: int, bits: int) -> None:
-        new = bits & full & ~masks[q]
+    def add(self, q: int, bits: int, rule: tuple) -> None:
+        """Set bits of q (clipped to [0, cap]) derived by one rule."""
+        old = self.masks[q]
+        new = bits & self.full & ~old
         if not new:
             return
-        grown = close(q, masks[q] | new)
-        new = grown & ~masks[q]
-        masks[q] = grown
-        pending[q] |= new
-        if not queued[q]:
-            queued[q] = True
-            queue.append(q)
+        log = self.log
+        if log is not None:
+            self.tick += 1
+            log[q].append((self.tick, rule, new))
+        mask = old | new
+        down, up = self._loops[q]
+        if down is not None:
+            fill = ((1 << mask.bit_length()) - 1) & ~mask
+            if fill:
+                mask |= fill
+                if log is not None:
+                    log[q].append((self.tick, down, fill))
+        if up is not None:
+            fill = self.full & -(mask & -mask) & ~mask
+            if fill:
+                mask |= fill
+                if log is not None:
+                    log[q].append((self.tick, up, fill))
+        self.masks[q] = mask
+        new = mask & ~old
+        if self.budget is not None:
+            self.budget.charge(new.bit_count())
+        self._pending[q] |= new
+        if not self._queued[q]:
+            self._queued[q] = True
+            self.queue.append(q)
 
-    for f in system.finals:
-        add(f, 1)
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        queued[p] = False
-        delta = pending[p]
-        pending[p] = 0
-        if not delta:
-            continue
-        for (q, z) in up_unary[p]:
-            add(q, _shift_parent(delta, z))
-        for i in by_left[p]:
-            t = system.branching[i]
-            add(t.source, _sumset(delta, masks[t.right]))
-        for i in by_right[p]:
-            t = system.branching[i]
-            add(t.source, _sumset(masks[t.left], delta))
-    return masks
+    def step(self, q: int) -> int:
+        """Apply the system's rules to the bits q gained since its last step; returns them."""
+        self._queued[q] = False
+        delta = self._pending[q]
+        if delta:
+            self._pending[q] = 0
+            masks, add = self.masks, self.add
+            for (src, z, rule) in self.up[q]:
+                add(src, _shift_parent(delta, z), rule)
+            for (src, right, rule) in self.by_left[q]:
+                add(src, _sumset(delta, masks[right]), rule)
+            for (src, left, rule) in self.by_right[q]:
+                add(src, _sumset(masks[left], delta), rule)
+        return delta
+
+    def run(self) -> None:
+        queue, step = self.queue, self.step
+        while queue:
+            step(queue.popleft())
+
+    def rule_of(self, q: int, m: int) -> tuple[int, tuple]:
+        """The tick and rule of the add event that set bit m of q."""
+        for tick, rule, bits in self.log[q]:
+            if (bits >> m) & 1:
+                return tick, rule
+        raise KeyError((q, m))
+
+    def as_of(self, q: int, before: int) -> int:
+        """The bits of q set by add events with ticks below ``before``."""
+        out = 0
+        for tick, _, bits in self.log[q]:
+            if tick >= before:
+                break
+            out |= bits
+        return out
 
 
 def _r0_value_masks(system: Bvass1, s_masks: list[int], cap: int, d: int) -> list[int]:
@@ -318,7 +371,11 @@ def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueT
     d, n0, cap = query.d, query.n0, query.cap
     if budget is not None:
         budget.charge(3 * system.num_states * d)
-    s_masks = _bounded_value_masks(system, cap, budget)
+    if budget is not None:
+        budget.charge(system.num_states * (cap + 1))
+    bounded = BoundedReach(system, cap)
+    bounded.run()
+    s_masks = bounded.masks
     s_mod = [_fold_mod(m, d) for m in s_masks]
     r0 = _r0_value_masks(system, s_masks, cap, d)
     r, iterations = _r_fixpoint(system, s_mod, r0, d)
@@ -363,12 +420,6 @@ def delta_branch(
                 if p1 == t.right:
                     out.add((t.source, (r0 + r1) % d))
     return out
-
-
-def compute_S(query: ResidueQuery) -> frozenset[tuple[int, int]]:
-    """The configurations in [0, cap] with cap-bounded derivations, as a set."""
-    masks = _bounded_value_masks(query.system, query.cap)
-    return frozenset(_mask_pairs(masks))
 
 
 def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:

@@ -14,7 +14,6 @@ from bvass1.residue import (
     ResidueCache,
     ResidueQuery,
     compute_R0,
-    compute_S,
     compute_table,
     delta_branch,
     delta_unary,
@@ -154,7 +153,6 @@ def test_pipeline_matches_literal_sets(num_states, num_unary, num_branching, see
     system = gen_random(num_states, num_unary, num_branching, 1, seed)
     query = ResidueQuery(system, 0, n0, d)
     table = compute_table(query)
-    assert table.S == compute_S(query)
     assert table.R0 == compute_R0(query, table.S)
     assert table.R0 <= table.R <= table.X
     assert 1 <= table.iterations <= table.big_n
@@ -185,10 +183,10 @@ def test_differential_with_witness_confirmation():
             if oracle_residue(system, state, n0, d, cap=40):
                 assert answer, (seed, state, n0, d)
             if answer:
-                v, cap_found, _ = _witness_value_scan(system, state, n0, d, 1 << 14)
+                v, witness, _ = _witness_value_scan(system, state, n0, d, 1 << 14)
                 assert v >= n0 and (v - n0) % d == 0
-                if cap_found <= 512:
-                    assert bounded_reach_set(system, cap_found).contains(state, v)
+                if witness.cap <= 512:
+                    assert bounded_reach_set(system, witness.cap).contains(state, v)
                     checked_true += 1
     assert checked_true > 50  # the sweep must actually exercise positives
 
