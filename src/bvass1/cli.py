@@ -2,7 +2,8 @@
 
 Subcommands: ``decide`` (reach/cover/bounded/residue with optional
 certificate extraction and expansion), ``check`` (re-validate a
-certificate), ``export-dot`` (render a tree file as Graphviz DOT),
+certificate), ``export-dot`` (render a tree or certificate file as
+Graphviz DOT, each shared def drawn once),
 ``gen`` (instance generators), ``oracle`` (bounded brute-force referee,
 results labeled with their cap).
 
@@ -13,6 +14,7 @@ JSON object with ``--json``); diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -118,19 +120,14 @@ class _Timer:
     def __init__(self) -> None:
         self.phases: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def time(self, phase: str):
-        timer = self
-
-        class _Span:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.phases[phase] = timer.phases.get(phase, 0.0) + (
-                    (time.perf_counter() - self.start) * 1000.0
-                )
-
-        return _Span()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = (time.perf_counter() - start) * 1000.0
+            self.phases[phase] = self.phases.get(phase, 0.0) + elapsed
 
     def as_ms(self) -> dict[str, float]:
         return {phase: round(ms, 3) for phase, ms in self.phases.items()}
@@ -257,7 +254,7 @@ def _cmd_check(args) -> int:
         certificate = certificate_from_text(system, text)
     except (FormatError, SemanticError) as exc:
         raise CliError(f"--certificate {args.certificate}: {exc}")
-    if "" not in certificate.tree.labels:
+    if "" not in certificate.tree.labels and "" not in certificate.grafts:
         raise CliError(f"--certificate {args.certificate}: no root node")
     ok, reason = check_certificate_report(system, certificate, Config(state, args.n))
     if not ok:
@@ -272,25 +269,34 @@ def _dot_quote(text: str) -> str:
 
 def _cmd_export_dot(args) -> int:
     text = _read_text(args.tree)
+    defs: dict = {}
+    grafts: dict[str, int] = {}
     try:
-        labels = raw_tree_from_text(text)
+        labels = raw_tree_from_text(text, defs, grafts)
     except (FormatError, SemanticError) as exc:
         raise CliError(f"--tree {args.tree}: {exc}")
     if "" not in labels:
         raise CliError(f"--tree {args.tree}: no root node")
 
     def key(addr: str) -> str:
-        return addr if addr else "e"
+        # a graft leaf is drawn as the def it names, once for all its grafts
+        if addr in grafts:
+            return f"d{grafts[addr]}"
+        return addr or "e"
+
+    def node(name: str, label: tuple[str, int]) -> str:
+        return f"  {_dot_quote(name)} [label={_dot_quote(f'{label[0]}({label[1]})')}];"
 
     lines = ["digraph tree {"]
     order = sorted(labels, key=lambda a: (len(a), a))
-    for addr in order:
-        name, counter = labels[addr]
-        lines.append(f"  {_dot_quote(key(addr))} [label={_dot_quote(f'{name}({counter})')}];")
+    lines += [node(key(addr), labels[addr]) for addr in order if addr not in grafts]
+    lines += [node(f"d{i}", label) for i, (label, _) in defs.items()]
     for addr in order:
         for child in (addr + "0", addr + "1"):
             if child in labels:
                 lines.append(f"  {_dot_quote(key(addr))} -> {_dot_quote(key(child))};")
+    for i, (_, kids) in defs.items():
+        lines += [f"  {_dot_quote(f'd{i}')} -> {_dot_quote(f'd{c}')};" for c in kids]
     if args.mark_anchors:
         ids: dict[str, int] = {}
         tree = PartialTree(
@@ -298,7 +304,7 @@ def _cmd_export_dot(args) -> int:
         )
         anchor_of = classify_nodes(tree).anchor_of
         for addr in order:
-            if addr in anchor_of and tree.is_leaf(addr):
+            if addr in anchor_of and tree.is_leaf(addr) and addr not in grafts:
                 anchor = anchor_of[addr]
                 lines.append(f"  {_dot_quote(key(anchor))} -> {_dot_quote(key(addr))} [style=dashed];")
     lines.append("}")

@@ -25,8 +25,9 @@ from typing import Optional
 
 Z_VALUES = (-1, 0, 1)
 
-# Directive keywords of the system file format; not usable as state names.
-RESERVED_WORDS = frozenset({"state", "final", "unary", "branch", "pump"})
+# Directive keywords of the system and certificate formats, and the graft
+# marker "="; not usable as state names.
+RESERVED_WORDS = frozenset({"state", "final", "unary", "branch", "pump", "def", "="})
 
 
 class FormatError(ValueError):
@@ -310,20 +311,6 @@ class PartialTree:
         return PartialTree({a[k:]: c for a, c in self.labels.items() if a.startswith(addr)})
 
 
-def lca(a: str, b: str) -> str:
-    """Longest common prefix of two addresses."""
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return a[:i]
-
-
-def is_ancestor(a: str, b: str) -> bool:
-    """True iff ``a`` is an ancestor of ``b`` or equal to it."""
-    return b.startswith(a)
-
-
 @dataclass(frozen=True)
 class NodeClassification:
     """Increasing/decreasing nodes of a tree and the anchor of each increasing node.
@@ -337,7 +324,9 @@ class NodeClassification:
     decreasing: frozenset[str]
 
 
-def _anchor_walk(tree: PartialTree) -> tuple[dict[str, str], set[str], bool]:
+def _anchor_walk(
+    tree: PartialTree, pumped: Optional[dict] = None
+) -> tuple[dict[str, str], set[str], bool]:
     """Anchors, decreasing nodes and exclusivity in one pre-order walk.
 
     Returns (anchor_of, decreasing, exclusive).  Sorting lists a string
@@ -355,7 +344,9 @@ def _anchor_walk(tree: PartialTree) -> tuple[dict[str, str], set[str], bool]:
     leaf) are pairwise node-disjoint, i.e. no node has two increasing
     leaves at or below it whose anchors are at or above it.  Reverse
     pre-order sums that count bottom-up: a child passes up its count less
-    the leaves anchored at the child itself.
+    the leaves anchored at the child itself.  With ``pumped``, only the
+    increasing leaves in it count: a certificate's graft leaf stands for a
+    whole pump-free subtree, so it is no leaf of the derivation.
     """
     labels = tree.labels
     order = sorted(labels)
@@ -400,7 +391,11 @@ def _anchor_walk(tree: PartialTree) -> tuple[dict[str, str], set[str], bool]:
                 while len(up[jumps[-1]]) >= len(jumps):
                     jumps.append(up[jumps[-1]][len(jumps) - 1])
                 up[i] = jumps
-                if addr + "0" not in labels and addr + "1" not in labels:
+                if (
+                    addr + "0" not in labels
+                    and addr + "1" not in labels
+                    and (pumped is None or addr in pumped)
+                ):
                     inc_leaves.append(i)
                     ends[j] += 1
         chain.append(i)
@@ -538,19 +533,56 @@ def _read_pump(tokens: list[str], line_no: int, pumps: dict[str, tuple[str, int]
     pumps[leaf] = (anchor, modulus)
 
 
+def _read_id(token: str, line_no: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise FormatError(line_no, f"bad def id {token!r}")
+    return value
+
+
+def _read_label(state_tok: str, counter_tok: str, line_no: int, system: Optional[Bvass1]):
+    try:
+        state = state_tok if system is None else system.state_id(state_tok)
+    except SemanticError as exc:
+        raise SemanticError(f"line {line_no}: {exc}") from None
+    try:
+        counter = int(counter_tok)
+    except ValueError:
+        raise FormatError(line_no, f"bad counter {counter_tok!r}") from None
+    if counter < 0:
+        raise SemanticError(f"line {line_no}: negative counter")
+    return (state, counter) if system is None else Config(state, counter)
+
+
 def _read_tree_text(
-    text: str, system: Optional[Bvass1] = None, pumps: Optional[dict[str, tuple[str, int]]] = None
+    text: str,
+    system: Optional[Bvass1] = None,
+    pumps: Optional[dict[str, tuple[str, int]]] = None,
+    defs: Optional[dict] = None,
+    grafts: Optional[dict[str, int]] = None,
+    strict: bool = True,
 ) -> dict:
     """Read a tree or certificate file in one pass.
 
     Node lines are ``<address> <state> <counter>``.  With a system, the
-    labels are Configs; without one, (state name, counter) pairs.  Pump
-    lines ``pump <leaf> <anchor> <modulus>`` go into ``pumps`` as
+    labels are Configs; without one, (state name, counter) pairs.  Def
+    lines ``def <id> <state> <counter> [<child-id> [<child-id>]]`` and
+    graft lines ``<address> = <id>`` go into ``defs`` as id -> (label,
+    child ids) and ``grafts`` as address -> id, and a graft's address is
+    labelled like the def it names.  ``strict`` makes an id that no
+    earlier line defines a format error; otherwise the checker reports it,
+    and a graft naming no def stays unlabelled.  Pump lines
+    ``pump <leaf> <anchor> <modulus>`` go into ``pumps`` as
     leaf -> (anchor, modulus) when it is given and are skipped otherwise.
-    A bad node line is reported before any bad pump line, and an empty
-    tree before either.
+    A bad node, def or graft line is reported before any bad pump line,
+    and an empty tree before either.
     """
     labels: dict = {}
+    defs = {} if defs is None else defs
+    grafts = {} if grafts is None else grafts
     pump_error: Optional[ValueError] = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -563,33 +595,50 @@ def _read_tree_text(
                 except (FormatError, SemanticError) as exc:
                     pump_error = exc
             continue
+        if tokens[0] == "def":
+            if not 4 <= len(tokens) <= 6:
+                raise FormatError(line_no, "expected def <id> <state> <counter> [<child-id> [<child-id>]]")
+            i = _read_id(tokens[1], line_no)
+            if i in defs:
+                raise SemanticError(f"line {line_no}: duplicate def id {i}")
+            kids = tuple(_read_id(t, line_no) for t in tokens[4:])
+            for c in kids:
+                if strict and c not in defs:
+                    raise FormatError(line_no, f"def id {c} is not defined on an earlier line")
+            defs[i] = (_read_label(tokens[2], tokens[3], line_no, system), kids)
+            continue
         if len(tokens) != 3:
             raise FormatError(line_no, "expected <address> <state> <counter>")
         addr = _addr_from_text(tokens[0], line_no)
-        if addr in labels:
+        if addr in labels or addr in grafts:
             raise SemanticError(f"line {line_no}: duplicate address {tokens[0]!r}")
-        try:
-            state = tokens[1] if system is None else system.state_id(tokens[1])
-        except SemanticError as exc:
-            raise SemanticError(f"line {line_no}: {exc}") from None
-        try:
-            counter = int(tokens[2])
-        except ValueError:
-            raise FormatError(line_no, f"bad counter {tokens[2]!r}") from None
-        if counter < 0:
-            raise SemanticError(f"line {line_no}: negative counter")
-        labels[addr] = (state, counter) if system is None else Config(state, counter)
-    if not labels:
+        if tokens[1] == "=":
+            i = _read_id(tokens[2], line_no)
+            if strict and i not in defs:
+                raise FormatError(line_no, f"def id {i} is not defined on an earlier line")
+            grafts[addr] = i
+        else:
+            labels[addr] = _read_label(tokens[1], tokens[2], line_no, system)
+    if not labels and not grafts:
         raise FormatError(1, "empty tree")
     if pump_error is not None:
         raise pump_error
+    for addr, i in grafts.items():
+        if i in defs:
+            labels[addr] = defs[i][0]
     return labels
 
 
 def tree_from_text(system: Bvass1, text: str) -> PartialTree:
+    """Read a tree file; a certificate's graft leaves carry their defs' labels."""
     return PartialTree(_read_tree_text(text, system))
 
 
-def raw_tree_from_text(text: str) -> dict[str, tuple[str, int]]:
-    """Parse a tree file without a system: address -> (state name, counter)."""
-    return _read_tree_text(text)
+def raw_tree_from_text(
+    text: str, defs: Optional[dict] = None, grafts: Optional[dict[str, int]] = None
+) -> dict[str, tuple[str, int]]:
+    """Parse a tree file without a system: address -> (state name, counter).
+
+    Def and graft lines go into ``defs`` and ``grafts`` when given.
+    """
+    return _read_tree_text(text, defs=defs, grafts=grafts)

@@ -8,6 +8,16 @@ with the pumping segments of distinct increasing leaves not nested in a
 conflicting way (exclusivity).  Such a tree is the certificate; it can
 be checked independently and unrolled into a full derivation tree.
 
+A certificate shares its pump-free subderivations.  Their validity does
+not depend on where they hang: every leaf accepts, and anchors and
+exclusivity concern only the pumped leaves and the paths above them.
+So each such subderivation is written once as a def, numbered bottom-up,
+and grafted onto the spine, the nodes on a path from the root to a
+pumped leaf.  The certificate then has at most |Q|·(B+1) defs plus the
+spine, where the tree it stands for can be exponential in |Q|.  The
+checker checks each def once and walks only the spine; expansion writes
+the defs out again.
+
 The decision engine computes two families of bit tables by a worklist
 fixpoint over counters in [0, B]:
 
@@ -34,7 +44,7 @@ replays into a concrete certificate deterministically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .model import (
@@ -44,7 +54,6 @@ from .model import (
     _anchor_walk,
     _read_tree_text,
     is_accepting,
-    tree_to_text,
     validate_partial_tree_report,
 )
 from .residue import (
@@ -53,16 +62,14 @@ from .residue import (
     Budget,
     BudgetExceeded,
     ResidueCache,
-    ResidueQuery,
     _shift_parent,
     _sumset,
-    compute_table,
 )
 
 DEFAULT_WITNESS_CAP = 1 << 20
 
-# Defensive ceiling on replayed certificate size; extraction of a decided
-# query should stay far below this, so hitting it means an engine bug.
+# Defensive ceiling on a replayed certificate's spine; extraction of a
+# decided query should stay far below this, so hitting it means an engine bug.
 _REPLAY_NODE_LIMIT = 1_000_000
 
 
@@ -108,10 +115,57 @@ class PumpRecord:
     modulus: int
 
 
+# a shared pump-free subderivation: its root label and its children's def ids
+Def = tuple[Config, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Certificate:
+    """A partial derivation tree with its pumps, pump-free parts shared.
+
+    ``tree`` is the spine, every node on a path from the root to a pumped
+    leaf, plus one labelled leaf per graft.  ``defs`` maps an id to a
+    shared pump-free subderivation; ids are numbered bottom-up, so a
+    child's id is smaller than its parent's.  ``grafts`` maps a leaf of
+    ``tree`` to the def that derives it.  A certificate without defs is a
+    plain tree.
+    """
+
     tree: PartialTree
     pumps: dict[str, PumpRecord]
+    defs: dict[int, Def] = field(default_factory=dict)
+    grafts: dict[str, int] = field(default_factory=dict)
+
+    def unfold(self) -> PartialTree:
+        """The whole tree, every def written out under each graft of it.
+
+        Every graft must name a def; the checker makes sure of that.
+        """
+        labels = dict(self.tree.labels)
+        for addr, i in self.grafts.items():
+            _unfold_def(labels, addr, self.defs, i)
+        return PartialTree(labels)
+
+
+def _unfold_def(out: dict[str, Config], addr: str, defs: dict[int, Def], root: int) -> None:
+    """Write the subtree of def ``root`` into ``out`` under ``addr``."""
+    stack = [(addr, root)]
+    while stack:
+        addr, i = stack.pop()
+        cfg, kids = defs[i]
+        out[addr] = cfg
+        if kids:
+            stack.append((addr + "0", kids[0]))
+            if len(kids) == 2:
+                stack.append((addr + "1", kids[1]))
+
+
+def _def_sizes(defs: dict[int, Def]) -> dict[int, int]:
+    """Node count of each def's unfolded subtree; children have smaller ids."""
+    size: dict[int, int] = {}
+    for i in sorted(defs):
+        size[i] = 1 + sum(size[c] for c in defs[i][1])
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +489,25 @@ def _resolve_branch_split(left: int, right: int, total: int) -> int:
 
     The callers pass the two tables as they stood before the parent's
     tick, so the split found is one the parent's rule could have used.
+    Walks the set bits of the sparser side in [0, total]: left's upward,
+    or right's downward, which visits the left counters upward as well.
     """
-    for m0 in range(total + 1):
-        if (left >> m0) & 1 and (right >> (total - m0)) & 1:
-            return m0
+    window = (1 << (total + 1)) - 1
+    left &= window
+    right &= window
+    if left.bit_count() <= right.bit_count():
+        while left:
+            low = left & -left
+            m0 = low.bit_length() - 1
+            if (right >> (total - m0)) & 1:
+                return m0
+            left ^= low
+    else:
+        while right:
+            m1 = right.bit_length() - 1
+            if (left >> (total - m1)) & 1:
+                return total - m1
+            right ^= 1 << m1
     raise AssertionError("no justified split found; the fixpoint tables are inconsistent")
 
 
@@ -450,9 +519,9 @@ def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int
     """How the first justification of q(m) in one table unfolds.
 
     Returns (starts a path, children) with children as (address suffix,
-    context index or None for a reach node, state, counter); children is
-    None at a pumped leaf.  A pump rule at a reach node starts a path of
-    its context anchored at that node.
+    key), a key being (context index or None for a reach node, state,
+    counter); children is None at a pumped leaf.  A pump rule at a reach
+    node starts a path of its context anchored at that node.
     """
     ts, rule = reach.rule_of(q, m) if ci is None else contexts[ci].info[q][m]
     kind = rule[0]
@@ -467,7 +536,7 @@ def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int
         rule = (kind[5:],) + rule[2:]
     if rule[0] == "unary":
         t = reach.system.unary[rule[1]]
-        return starts_path, (("0", ci, t.target, m + t.delta),)
+        return starts_path, (("0", (ci, t.target, m + t.delta)),)
     # a branch; on a path, the path continues on side rule[2]
     t = reach.system.branching[rule[1]]
     lci = ci if ci is not None and rule[2] == 0 else None
@@ -475,63 +544,150 @@ def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int
     left = reach.as_of(t.left, ts) if lci is None else contexts[lci].as_of(t.left, ts)
     right = reach.as_of(t.right, ts) if rci is None else contexts[rci].as_of(t.right, ts)
     m0 = _resolve_branch_split(left, right, m)
-    return starts_path, (("0", lci, t.left, m0), ("1", rci, t.right, m - m0))
+    return starts_path, (("0", (lci, t.left, m0)), ("1", (rci, t.right, m - m0)))
 
 
 def _replay(
-    reach: BoundedReach, contexts: list[_Context], state: int, n: int, node_limit: int | None = None
-) -> tuple[dict[str, Config], dict[str, tuple[str, int]]]:
+    reach: BoundedReach, contexts: list[_Context], state: int, n: int, key_limit: int | None = None
+) -> tuple[dict[int, Def], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
     """Read the derivation of state(n) back from the first justifications.
 
-    Labels repeat across a tree, so each (table, state, counter) is
-    unfolded once.
+    A derivation is fixed by its (table, state, counter) keys, so each key
+    is unfolded once.  A reach key with no pumped leaf below it becomes a
+    def, numbered when its children are done; the other keys form the
+    spine, unfolded from the root down to the pumped leaves, with a graft
+    wherever it meets a def.  Returns (defs, spine labels with the graft
+    leaves, grafts, pumps as leaf -> (anchor, gap)).  ``key_limit`` bounds
+    the number of distinct keys; a tree has at least as many nodes.
     """
-    labels: dict[str, Config] = {}
-    pumps: dict[str, tuple[str, int]] = {}
     steps: dict[tuple, tuple] = {}
-    # stack items: (address, context index or None for a reach node, state, counter, anchor address)
-    stack: list[tuple] = [("", None, state, n, "")]
+    ids: dict[tuple, Optional[int]] = {}  # key -> def id, None on the spine
+    defs: dict[int, Def] = {}
+    root = (None, state, n)
+    stack = [root]
     while stack:
-        addr, ci, q, m, anchor = stack.pop()
-        if node_limit is not None and len(labels) >= node_limit:
-            raise _ReplayOverLimit
-        if len(labels) >= _REPLAY_NODE_LIMIT:
-            raise AssertionError("replayed tree grew past the safety limit")
-        labels[addr] = Config(q, m)
-        key = (ci, q, m)
+        key = stack[-1]
         step = steps.get(key)
         if step is None:
-            step = steps[key] = _replay_step(reach, contexts, ci, q, m)
+            if key_limit is not None and len(steps) >= key_limit:
+                raise _ReplayOverLimit
+            step = steps[key] = _replay_step(reach, contexts, *key)
+            if step[1]:
+                # children finish before their parent, so get smaller ids
+                stack.extend(ck for _, ck in reversed(step[1]) if ck not in steps)
+                continue
+        stack.pop()
+        if key in ids:
+            continue
         starts_path, children = step
+        kids = None
+        if key[0] is None and not starts_path and children is not None:
+            kids = tuple(ids[ck] for _, ck in children)
+        if kids is None or None in kids:
+            ids[key] = None
+        else:
+            ids[key] = len(defs)
+            defs[len(defs)] = (Config(key[1], key[2]), kids)
+
+    labels: dict[str, Config] = {}
+    grafts: dict[str, int] = {}
+    pumps: dict[str, tuple[str, int]] = {}
+    # spine items: (address, key, anchor address)
+    spine = [("", root, "")]
+    while spine:
+        addr, key, anchor = spine.pop()
+        if len(labels) >= _REPLAY_NODE_LIMIT:
+            raise AssertionError("replayed spine grew past the safety limit")
+        ci, q, m = key
+        labels[addr] = Config(q, m)
+        i = ids[key]
+        if i is not None:
+            grafts[addr] = i
+            continue
+        starts_path, children = steps[key]
         if children is None:
             pumps[addr] = (anchor, contexts[ci].m_star - labels[anchor].counter)
             continue
         if starts_path:
             anchor = addr
-        for suffix, cci, cq, cm in children:
-            stack.append((addr + suffix, cci, cq, cm, anchor))
-    return labels, pumps
+        for suffix, ck in children:
+            spine.append((addr + suffix, ck, anchor))
+    return defs, labels, grafts, pumps
 
 
 def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificate:
     """Replay the recorded first justifications into one certificate."""
     if not tables.holds(query.state, query.n):
         raise ValueError("extract_certificate needs a positive decision")
-    labels, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
+    defs, labels, grafts, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
     pumps = {leaf: PumpRecord(anchor=anchor, modulus=d) for leaf, (anchor, d) in sorted(raw_pumps.items())}
-    return Certificate(tree=PartialTree(labels), pumps=pumps)
+    return Certificate(tree=PartialTree(labels), pumps=pumps, defs=defs, grafts=grafts)
 
 
 # ---------------------------------------------------------------------------
 # independent checking
 
 
+def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -> Optional[str]:
+    """The first failed clause of the defs and grafts, or None.
+
+    Each def is checked once, against its children's labels only; each
+    graft must name a def, sit on an unpumped leaf of the tree and carry
+    the def's label.
+    """
+    defs = certificate.defs
+    pairs = system.branch_pairs_by_source
+    moves = system.unary_moves_by_source
+    for i, (cfg, kids) in defs.items():
+        for c in kids:
+            if c not in defs:
+                return f"def {i} references unknown id {c}"
+            if c >= i:
+                return f"def {i} references id {c}, a forward reference"
+        if cfg.counter > bound:
+            return f"counter {cfg.counter} of def {i} exceeds the bound {bound}"
+        if not kids:
+            if not is_accepting(system, cfg):
+                return f"def {i} is a leaf that is not accepting"
+        elif len(kids) == 1:
+            child = defs[kids[0]][0]
+            if (child.counter - cfg.counter, child.state) not in moves[cfg.state]:
+                return f"def {i}: no unary transition matches the child"
+        elif len(kids) == 2:
+            left, right = defs[kids[0]][0], defs[kids[1]][0]
+            if (left.state, right.state) not in pairs[cfg.state]:
+                return f"def {i}: no branching transition matches the children"
+            if left.counter + right.counter != cfg.counter:
+                return f"def {i}: children counters do not sum to the parent counter"
+        else:
+            return f"def {i} has more than two children"
+    tree = certificate.tree
+    for addr, i in certificate.grafts.items():
+        where = addr or "root"
+        if i not in defs:
+            return f"graft at {where} references unknown id {i}"
+        if addr in certificate.pumps:
+            return f"graft at {where} sits on a pumped leaf"
+        if addr not in tree.labels or not tree.is_leaf(addr):
+            return f"graft at {where} is not a leaf of the tree"
+        if tree.labels[addr] != defs[i][0]:
+            return f"graft at {where} is labelled unlike def {i}"
+    return None
+
+
 def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: Config) -> tuple[bool, str]:
     """Validate a certificate from scratch; names the first failed clause.
 
     Shares only the model validators and the residue decision with the
-    engine; in particular every pump's residue query is re-decided here.
+    engine; in particular every pump's residue query is re-decided here,
+    through one residue cache of the checker's own.  The defs and grafts
+    are checked first, each once; then the tree, whose graft leaves count
+    as derived, and the pumps.
     """
+    bound = 2 * system.num_states + claimed.counter
+    why = _shared_parts_report(system, certificate, bound)
+    if why is not None:
+        return False, why
     tree = certificate.tree
     if "" not in tree.labels:
         return False, "tree has no root"
@@ -541,24 +697,24 @@ def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: 
     if not ok:
         return False, f"invalid tree at {addr or 'root'}: {why}"
     labels = tree.labels
-    bound = 2 * system.num_states + claimed.counter
     # first violations in (length, address) order, found without sorting
     over = min(((len(a), a) for a, cfg in labels.items() if cfg.counter > bound), default=None)
     if over is not None:
         a = over[1]
         return False, f"counter {labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
+    pumps, grafts = certificate.pumps, certificate.grafts
     stuck = min(
         (
             (len(a), a)
             for a, cfg in labels.items()
-            if a not in certificate.pumps and tree.is_leaf(a) and not is_accepting(system, cfg)
+            if a not in pumps and a not in grafts and tree.is_leaf(a) and not is_accepting(system, cfg)
         ),
         default=None,
     )
     if stuck is not None:
         return False, f"leaf {stuck[1] or 'root'} is neither accepting nor pumped"
-    anchor_of, _, exclusive = _anchor_walk(tree)
-    for leaf, rec in sorted(certificate.pumps.items()):
+    anchor_of, _, exclusive = _anchor_walk(tree, pumps)
+    for leaf, rec in sorted(pumps.items()):
         if leaf not in tree.labels or not tree.is_leaf(leaf):
             return False, f"pump source {leaf!r} is not a leaf of the tree"
         if rec.anchor not in tree.labels:
@@ -572,10 +728,10 @@ def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: 
             return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
     if not exclusive:
         return False, "pumping segments are not exclusive"
-    for leaf, rec in sorted(certificate.pumps.items()):
+    residues = ResidueCache(system)
+    for leaf, rec in sorted(pumps.items()):
         cfg = tree.labels[leaf]
-        table = compute_table(ResidueQuery(system, cfg.state, cfg.counter, rec.modulus))
-        if not table.holds:
+        if not residues.query(cfg.state, cfg.counter, rec.modulus):
             return False, f"residue query at leaf {leaf} ({system.state_name(cfg.state)}, {cfg.counter}, {rec.modulus}) is negative"
     return True, "ok"
 
@@ -628,14 +784,21 @@ def expand_certificate(
 ) -> PartialTree:
     """Unroll every pump into concrete segments, giving a full derivation tree.
 
-    Each pumped leaf l(m*) with anchor gap d gets a concrete reachable
-    value v = m* + k*d; the anchor-to-leaf segment is repeated k+1 times
-    with the path counters raised by d per copy (side branches copied
-    as they are), and a derivation tree for the witness value closes the
-    last copy.  Deeper anchors are processed first, so each pump is
-    unrolled exactly once and later copies duplicate finished subtrees.
+    The defs are first written out under their grafts.  Each pumped leaf
+    l(m*) with anchor gap d then gets a concrete reachable value
+    v = m* + k*d; the anchor-to-leaf segment is repeated k+1 times with
+    the path counters raised by d per copy (side branches copied as they
+    are), and a derivation tree for the witness value, replayed straight
+    under its final address, closes the last copy.  Deeper anchors are
+    processed first, so each pump is unrolled exactly once and later
+    copies duplicate finished subtrees.
     """
-    labels = dict(certificate.tree.labels)
+    sizes = _def_sizes(certificate.defs)
+    grafts = certificate.grafts
+    unfolded = len(certificate.tree) - len(grafts) + sum(sizes[i] for i in grafts.values())
+    if unfolded > max_nodes:
+        raise ExpandOverflow(unfolded, max_nodes)
+    labels = certificate.unfold().labels
     order = sorted(certificate.pumps.items(), key=lambda kv: (-len(kv[1].anchor), kv[1].anchor, kv[0]))
     for leaf, rec in order:
         anchor = rec.anchor
@@ -665,10 +828,13 @@ def expand_certificate(
             raise ExpandOverflow(base_nodes + 1, max_nodes)
 
         try:
-            wit_labels, _ = _replay(witness, [], leaf_cfg.state, value, node_limit=max_nodes - base_nodes + 1)
+            wit_defs, _, wit_grafts, _ = _replay(
+                witness, [], leaf_cfg.state, value, key_limit=max_nodes - base_nodes
+            )
         except _ReplayOverLimit:
             raise ExpandOverflow(max_nodes + 1, max_nodes) from None
-        projected = base_nodes + len(wit_labels)
+        wit_root = wit_grafts[""]
+        projected = base_nodes + _def_sizes(wit_defs)[wit_root]
         if projected > max_nodes:
             raise ExpandOverflow(projected, max_nodes)
 
@@ -681,9 +847,7 @@ def expand_certificate(
                     out[base + rel] = Config(cfg.state, cfg.counter + shift)
                 else:
                     out[base + rel] = cfg
-        wit_base = anchor + path_rel * (k + 1)
-        for rel, cfg in wit_labels.items():
-            out[wit_base + rel] = cfg
+        _unfold_def(out, anchor + path_rel * (k + 1), wit_defs, wit_root)
         labels = out
     return PartialTree(labels)
 
@@ -693,14 +857,44 @@ def expand_certificate(
 
 
 def certificate_to_text(system: Bvass1, certificate: Certificate) -> str:
-    """Tree lines followed by one ``pump <leaf> <anchor> <modulus>`` per pump."""
-    parts = [tree_to_text(system, certificate.tree)]
+    """Def lines, tree lines, then one ``pump <leaf> <anchor> <modulus>`` per pump.
+
+    Defs come bottom-up as ``def <id> <state> <counter> [<child-id>
+    [<child-id>]]``.  Tree lines are ``<address> <state> <counter>``, in
+    (length, address) order, except that a graft leaf is written
+    ``<address> = <id>``.
+    """
+    name = system.state_name
+    parts = [
+        f"def {i} {name(cfg.state)} {cfg.counter}{''.join(f' {c}' for c in kids)}\n"
+        for i, (cfg, kids) in sorted(certificate.defs.items())
+    ]
+    tree, grafts = certificate.tree, certificate.grafts
+    for addr in tree.addresses():
+        i = grafts.get(addr)
+        if i is None:
+            cfg = tree.labels[addr]
+            parts.append(f"{addr or 'e'} {name(cfg.state)} {cfg.counter}\n")
+        else:
+            parts.append(f"{addr or 'e'} = {i}\n")
     for leaf, rec in sorted(certificate.pumps.items()):
         parts.append(f"pump {leaf or 'e'} {rec.anchor or 'e'} {rec.modulus}\n")
     return "".join(parts)
 
 
 def certificate_from_text(system: Bvass1, text: str) -> Certificate:
+    """Read either text format; a tree without def lines has no defs.
+
+    Ids are taken as written: an unknown or forward reference is left for
+    the checker to report.
+    """
     pumps: dict[str, tuple[str, int]] = {}
-    tree = PartialTree(_read_tree_text(text, system, pumps))
-    return Certificate(tree=tree, pumps={leaf: PumpRecord(a, d) for leaf, (a, d) in pumps.items()})
+    defs: dict[int, Def] = {}
+    grafts: dict[str, int] = {}
+    tree = PartialTree(_read_tree_text(text, system, pumps, defs, grafts, strict=False))
+    return Certificate(
+        tree=tree,
+        pumps={leaf: PumpRecord(a, d) for leaf, (a, d) in pumps.items()},
+        defs=defs,
+        grafts=grafts,
+    )

@@ -12,8 +12,6 @@ from bvass1.model import (
     NodeClassification,
     PartialTree,
     is_accepting,
-    is_ancestor,
-    lca,
     parse_bvass,
 )
 from bvass1.residue import Budget, ResidueQuery, compute_table
@@ -34,6 +32,17 @@ unary q 0 q_2
 branch q_2 q_1 q_1
 branch q_1 q_0 q_0
 unary q_0 -1 q_f
+"""
+
+
+# s climbs, descends, splits and exits; s(0) pumps to s(1)
+PUMP_TEXT = """
+state s  state f
+final f
+unary s +1 s
+unary s -1 s
+unary s 0 f
+branch s s s
 """
 
 
@@ -102,6 +111,20 @@ def random_instances() -> list[Bvass1]:
             )
         )
     return out
+
+
+def lca(a: str, b: str) -> str:
+    """Longest common prefix of two addresses."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return a[:i]
+
+
+def is_ancestor(a: str, b: str) -> bool:
+    """True iff ``a`` is an ancestor of ``b`` or equal to it."""
+    return b.startswith(a)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from bvass1.gen import (
 from bvass1.model import (
     Config,
     classify_nodes,
-    is_ancestor,
     is_exclusive,
     is_reachability_tree,
     parse_bvass,
@@ -37,9 +36,12 @@ from bvass1.oracle import (
     oracle_unbounded_hint,
 )
 from bvass1.reach import (
+    Certificate,
     ExpandOverflow,
     ReachQuery,
     _witness_value_scan,
+    certificate_from_text,
+    certificate_to_text,
     check_certificate_report,
     decide_reach,
     expand_certificate,
@@ -49,7 +51,7 @@ from bvass1.reach import (
 )
 from bvass1.residue import ResidueQuery, compute_table, residue_reachable
 
-from helpers import b2, loop_gadget, random_instances, random_valid_tree
+from helpers import b2, is_ancestor, loop_gadget, random_instances, random_valid_tree
 
 FAMILY_TIME_LIMIT_S = 10.0  # per doubling family run (criterion 1)
 STRESS_TIME_LIMIT_S = 5.0  # per deep doubling instance (criterion 2)
@@ -71,6 +73,11 @@ def _certificate_path(system, state: int, n: int) -> str | None:
     cert = extract_certificate(query, tables)
     ok, why = check_certificate_report(system, cert, Config(state, n))
     assert ok, (why, state, n)
+    # both text formats read back to a certificate that checks
+    for form in (cert, Certificate(cert.unfold(), cert.pumps)):
+        back = certificate_from_text(system, certificate_to_text(system, form))
+        assert back == form, (state, n)
+        assert check_certificate_report(system, back, Config(state, n)) == (True, "ok"), (state, n)
     try:
         tree = expand_certificate(system, cert, max_nodes=EXPAND_NODE_LIMIT)
     except ExpandOverflow as exc:
@@ -194,7 +201,8 @@ def test_c4_certificate_round_trip(capsys):
     _report(
         capsys,
         "C4",
-        f"{checked} positive decisions certified and re-checked, {overflow} justified overflows, zero failures",
+        f"{checked} positive decisions certified and re-checked in both text formats, "
+        f"{overflow} justified overflows, zero failures",
     )
 
 
@@ -474,10 +482,10 @@ def test_c10_structural_properties(capsys):
                 if not tables.holds(state, n):
                     continue
                 query = ReachQuery(system, state, n)
-                cert = extract_certificate(query, run_query(query))
+                tree = extract_certificate(query, run_query(query)).unfold()
                 bound = 2 * system.num_states + n
-                assert all(c.counter <= bound for c in cert.tree.labels.values())
-                assert is_exclusive(cert.tree)
+                assert all(c.counter <= bound for c in tree.labels.values())
+                assert is_exclusive(tree)
                 certs += 1
     assert certs > 100
     _report(

@@ -5,6 +5,7 @@ from bvass1.gen import gen_doubling
 from bvass1.model import Bvass1, Config, PartialTree, is_reachability_tree, parse_bvass
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
+    Certificate,
     ReachQuery,
     _cyclic_states,
     _replay,
@@ -85,9 +86,11 @@ def test_every_kernel_bit_replays_into_a_derivation():
         for q, mask in enumerate(kernel.masks):
             for m in range(13):
                 if (mask >> m) & 1:
-                    labels, pumps = _replay(kernel, [], q, m)
-                    tree = PartialTree(labels)
-                    assert not pumps and tree.labels[""] == Config(q, m)
+                    defs, labels, grafts, pumps = _replay(kernel, [], q, m)
+                    # without pump contexts the whole derivation is one def
+                    assert not pumps and list(grafts) == [""]
+                    tree = Certificate(PartialTree(labels), {}, defs, grafts).unfold()
+                    assert tree.labels[""] == Config(q, m)
                     assert is_reachability_tree(system, tree), (system, q, m)
                     replayed += 1
     assert replayed > 3000, replayed

@@ -8,7 +8,7 @@ from bvass1.model import parse_bvass, tree_from_text
 
 import pytest
 
-from helpers import B2_TEXT, LOOP_TEXT
+from helpers import B2_TEXT, LOOP_TEXT, PUMP_TEXT
 
 
 @pytest.fixture()
@@ -177,6 +177,65 @@ def test_check_tampered_certificate(tmp_path, capsys):
     assert main(["check", "--system", system, "--certificate", str(cert), "--state", "q", "--n", "0"]) == 1
 
 
+# q_2(4) of the doubling system at n = 2, as the engine writes it
+B2_DAG = "def 0 q_f 0\ndef 1 q_0 1 0\ndef 2 q_1 2 1 1\ndef 3 q_2 4 2 2\ne = 3\n"
+
+def test_decide_writes_the_dag_form(b2_file, tmp_path, capsys):
+    cert = tmp_path / "q2.cert"
+    args = ["decide", "reach", "--system", b2_file, "--state", "q_2", "--n", "4", "--certificate", str(cert)]
+    assert main(args) == 0
+    assert cert.read_text() == B2_DAG
+    # the tree form of the same derivation checks too
+    legacy = tmp_path / "q2.tree"
+    legacy.write_text("e q_2 4\n0 q_1 2\n1 q_1 2\n00 q_0 1\n01 q_0 1\n10 q_0 1\n11 q_0 1\n"
+                      "000 q_f 0\n010 q_f 0\n100 q_f 0\n110 q_f 0\n")
+    for path in (cert, legacy):
+        assert main(["check", "--system", b2_file, "--certificate", str(path), "--state", "q_2", "--n", "4"]) == 0
+
+
+@pytest.mark.parametrize(
+    "system_text, cert_text, claim, reason",
+    [
+        (B2_TEXT, B2_DAG.replace("def 1 q_0 1 0", "def 1 q_0 1 2"), ("q_2", 4),
+         "def 1 references id 2, a forward reference"),
+        # a 0-shift loop would accept a def that derives itself
+        ("state q\nfinal q\nunary q +0 q\n", "def 0 q 0 0\ne = 0\n", ("q", 0),
+         "def 0 references id 0, a forward reference"),
+        (B2_TEXT, B2_DAG.replace("def 2 q_1 2 1 1", "def 2 q_1 2 1 7"), ("q_2", 4),
+         "def 2 references unknown id 7"),
+        (B2_TEXT, B2_DAG.replace("e = 3", "e = 9"), ("q_2", 4), "graft at root references unknown id 9"),
+        (B2_TEXT, B2_DAG.replace("def 0 q_f 0", "def 0 q_0 0"), ("q_2", 4),
+         "def 0 is a leaf that is not accepting"),
+        (B2_TEXT, B2_DAG + "def 4 q_f 15\n", ("q_2", 4), "counter 15 of def 4 exceeds the bound 14"),
+        (B2_TEXT, B2_DAG.replace("def 1 q_0 1 0", "def 1 q_0 2 0"), ("q_2", 4),
+         "def 1: no unary transition matches the child"),
+        (B2_TEXT, B2_DAG.replace("def 2 q_1 2 1 1", "def 2 q_1 2 0 0"), ("q_2", 4),
+         "def 2: no branching transition matches the children"),
+        (PUMP_TEXT, "def 0 f 0\ndef 1 s 0 0\ndef 2 s 1 1\ne s 0\n0 = 2\npump 0 e 1\n", ("s", 0),
+         "graft at 0 sits on a pumped leaf"),
+    ],
+    ids=["forward", "self", "unknown-def", "unknown-graft", "leaf", "bound", "unary", "branch", "pumped-graft"],
+)
+def test_check_rejects_tampered_dag(tmp_path, capsys, system_text, cert_text, claim, reason):
+    system = tmp_path / "s.bvass"
+    system.write_text(system_text)
+    cert = tmp_path / "bad.cert"
+    cert.write_text(cert_text)
+    state, n = claim
+    assert main(["check", "--system", str(system), "--certificate", str(cert), "--state", state, "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "NO\n"
+    assert captured.err.strip() == reason
+
+
+def test_check_accepts_pumped_spine_with_graft(tmp_path, capsys):
+    system = tmp_path / "s.bvass"
+    system.write_text(PUMP_TEXT)
+    cert = tmp_path / "ok.cert"
+    cert.write_text("def 0 f 0\ndef 1 s 0 0\ne s 0\n0 s 1\n00 s 1\n01 = 1\npump 00 e 1\n")
+    assert main(["check", "--system", str(system), "--certificate", str(cert), "--state", "s", "--n", "0"]) == 0
+
+
 def test_check_rejects_empty_certificate(b2_file, tmp_path, capsys):
     cert = tmp_path / "empty.cert"
     cert.write_text("")
@@ -279,6 +338,50 @@ def test_export_dot_marks_anchor_across_missing_nodes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '"e" -> "000" [style=dashed]' in out
     assert out.count("->") == 1
+
+
+def test_export_dot_draws_each_def_once(tmp_path, capsys):
+    cert = tmp_path / "q2.cert"
+    cert.write_text(B2_DAG)
+    assert main(["export-dot", "--tree", str(cert)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("label=") == 4
+    assert '"d3" [label="q_2(4)"];' in out
+    # q_1 and q_2 reach the shared def of each half by two edges
+    assert out.count('"d2" -> "d1";') == 2 and out.count('"d3" -> "d2";') == 2
+    assert out.count("->") == 5
+
+
+def test_export_dot_grafts_and_anchors_on_the_spine(tmp_path, capsys):
+    # the graft leaf 01 = s(1) sits below s(0) but is no pumped leaf
+    cert = tmp_path / "s0.cert"
+    cert.write_text("def 0 f 0\ndef 1 s 0 0\ndef 2 s 1 1\ne s 0\n0 s 2\n00 s 1\n01 = 2\npump 00 e 1\n")
+    assert main(["export-dot", "--tree", str(cert), "--mark-anchors"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("label=") == 6
+    assert '"0" -> "d2";' in out
+    assert out.count("[style=dashed]") == 1
+    assert '"e" -> "00" [style=dashed];' in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("def 0 q_f 0\ndef 1 q_0 1 3\ne = 1\n", "line 2: def id 3 is not defined on an earlier line"),
+        ("def 0 q_f 0\ne = 4\n", "line 2: def id 4 is not defined on an earlier line"),
+        ("def x q 0\n", "line 1: bad def id 'x'"),
+        ("def 0 q_f 0\ndef 0 q_f 0\n", "line 2: duplicate def id 0"),
+        ("def 0 q_f\n", "line 1: expected def <id> <state> <counter> [<child-id> [<child-id>]]"),
+        ("def 0 q_f 0\ne = 0\ne q 1\n", "line 3: duplicate address 'e'"),
+    ],
+)
+def test_export_dot_rejects_malformed_dag(tmp_path, capsys, text, message):
+    cert = tmp_path / "bad.cert"
+    cert.write_text(text)
+    assert main(["export-dot", "--tree", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_export_dot_rejects_rootless_tree(tmp_path, capsys):

@@ -136,8 +136,8 @@ def test_validator_report_matches_naive(seed):
 
 
 def _mutate_certificate(cert: Certificate, rng: random.Random, num_states: int) -> tuple[Certificate, int]:
-    """A certificate with one clause possibly broken, and a claimed-counter shift."""
-    tree, pumps = cert.tree, dict(cert.pumps)
+    """A tree-format certificate with one clause possibly broken, and a claimed-counter shift."""
+    tree, pumps = cert.unfold(), dict(cert.pumps)
     kind = rng.randrange(6)
     if kind == 0:
         tree = _mutate_tree(tree, rng, num_states)
@@ -207,6 +207,19 @@ def test_deep_path_certificate_checks_fast():
     start = time.perf_counter()
     assert check_certificate_report(system, cert, Config(0, 0)) == (True, "ok")
     assert time.perf_counter() - start < 2.0
+
+
+def test_large_dag_certificate_checks_fast():
+    # a chain of 10^5 defs q(m) -> q(m-1) ... q(0) -> f(0), grafted at the root
+    system = parse_bvass("state q state f\nfinal f\nunary q -1 q\nunary q 0 f\n")
+    size = 10**5
+    lines = ["def 0 f 0", "def 1 q 0 0"] + [f"def {i} q {i - 1} {i - 1}" for i in range(2, size)]
+    text = "\n".join(lines + [f"e = {size - 1}"]) + "\n"
+    cert = certificate_from_text(system, text)
+    assert len(cert.defs) == size
+    start = time.perf_counter()
+    assert check_certificate_report(system, cert, Config(0, size - 2)) == (True, "ok")
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ from bvass1.model import (
     SemanticError,
     classify_nodes,
     format_bvass,
-    is_ancestor,
     is_exclusive,
     is_reachability_tree,
-    lca,
     parse_bvass,
     raw_tree_from_text,
     tree_from_text,
@@ -29,7 +27,7 @@ from bvass1.model import (
 
 import pytest
 
-from helpers import B2_TEXT, b2, loop_gadget, random_valid_tree, tree_of
+from helpers import B2_TEXT, b2, is_ancestor, lca, loop_gadget, random_valid_tree, tree_of
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Reachability decisions, certificates, checking, and expansion."""
 from __future__ import annotations
 
-from bvass1.gen import gen_doubling, gen_random, gen_subset_sum
+from dataclasses import replace
+
+from bvass1 import residue
+from bvass1.gen import gen_binary_constant, gen_doubling, gen_random, gen_subset_sum
 from bvass1.model import (
     Config,
     PartialTree,
     classify_nodes,
     is_exclusive,
     is_reachability_tree,
+    parse_bvass,
 )
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
@@ -29,7 +33,7 @@ from bvass1.residue import BudgetExceeded
 
 import pytest
 
-from helpers import b2, loop_gadget, tree_of
+from helpers import PUMP_TEXT, b2, loop_gadget, tree_of
 
 
 def _query(system, name, n) -> ReachQuery:
@@ -90,7 +94,16 @@ def test_loop_certificate_is_plain_chain():
     _, cert = _decide_extract(system, "a", 3)
     assert cert.pumps == {}
     a, f = system.state_id("a"), system.state_id("f")
-    assert cert.tree.labels == {
+    # pump-free, so the whole chain is shared: one def per label, one graft
+    assert cert.grafts == {"": 4}
+    assert cert.defs == {
+        0: (Config(f, 0), ()),
+        1: (Config(a, 0), (0,)),
+        2: (Config(a, 1), (1,)),
+        3: (Config(a, 2), (2,)),
+        4: (Config(a, 3), (3,)),
+    }
+    assert cert.unfold().labels == {
         "": Config(a, 3),
         "0": Config(a, 2),
         "00": Config(a, 1),
@@ -115,16 +128,44 @@ def test_checker_rejects_wrong_root():
     assert not ok and "root label" in why
 
 
+def _certificate_shapes():
+    """Two pumped two-node spines, a pure DAG grafted at the root, and a
+    pumped spine with a graft beside the pump: (system, claim, certificate)."""
+    cases = [
+        (gen_doubling(4), "q", 7),
+        (gen_doubling(4), "q", 0),
+        (gen_doubling(4), "q_4", 16),
+        (gen_random(3, 7, 2, 1, 17), "s1", 4),
+    ]
+    out = []
+    for system, name, n in cases:
+        query, cert = _decide_extract(system, name, n)
+        out.append((system, Config(query.state, query.n), cert))
+    shapes = [(len(cert.tree) > 1, bool(cert.defs), bool(cert.pumps)) for _, _, cert in out]
+    assert shapes == [(True, False, True), (True, False, True), (False, True, False), (True, True, True)]
+    return out
+
+
 def test_checker_rejects_tampered_counter():
-    system = gen_doubling(4)
-    query, cert = _decide_extract(system, "q", 7)
-    for addr in cert.tree.addresses():
-        if addr == "":
-            continue
-        labels = dict(cert.tree.labels)
-        labels[addr] = Config(labels[addr].state, labels[addr].counter + 1)
-        bad = Certificate(tree=PartialTree(labels), pumps=cert.pumps)
-        assert not check_certificate(system, bad, Config(query.state, query.n)), addr
+    for system, claimed, cert in _certificate_shapes():
+        assert check_certificate(system, cert, claimed)
+        for addr in cert.tree.addresses():
+            if addr == "":
+                continue
+            labels = dict(cert.tree.labels)
+            labels[addr] = Config(labels[addr].state, labels[addr].counter + 1)
+            bad = replace(cert, tree=PartialTree(labels))
+            assert not check_certificate(system, bad, claimed), addr
+        for i, (cfg, kids) in cert.defs.items():
+            defs = dict(cert.defs)
+            defs[i] = (Config(cfg.state, cfg.counter + 1), kids)
+            assert not check_certificate(system, replace(cert, defs=defs), claimed), i
+        for addr, i in cert.grafts.items():
+            for j in cert.defs:
+                if j != i:
+                    grafts = dict(cert.grafts)
+                    grafts[addr] = j
+                    assert not check_certificate(system, replace(cert, grafts=grafts), claimed), (addr, j)
 
 
 def test_checker_rejects_negative_residue_pump():
@@ -141,21 +182,38 @@ def test_checker_rejects_negative_residue_pump():
 def test_checker_rejects_non_leaf_pump_source():
     system = loop_gadget()
     query, cert = _decide_extract(system, "a", 2)
-    bad = Certificate(tree=cert.tree, pumps={"0": PumpRecord(anchor="", modulus=1)})
+    bad = Certificate(tree=cert.unfold(), pumps={"0": PumpRecord(anchor="", modulus=1)})
     ok, why = check_certificate_report(system, bad, Config(query.state, query.n))
     assert not ok and "not a leaf" in why
 
 
 def test_certificate_text_round_trip():
-    system = gen_doubling(4)
-    _, cert = _decide_extract(system, "q", 0)
-    text = certificate_to_text(system, cert)
-    again = certificate_from_text(system, text)
-    assert again.tree.labels == cert.tree.labels
-    assert {l: (r.anchor, r.modulus) for l, r in again.pumps.items()} == {
-        l: (r.anchor, r.modulus) for l, r in cert.pumps.items()
-    }
-    assert certificate_to_text(system, again) == text
+    for system, claimed, cert in _certificate_shapes():
+        text = certificate_to_text(system, cert)
+        again = certificate_from_text(system, text)
+        assert again == cert
+        assert certificate_to_text(system, again) == text
+        # the tree form of the same certificate reads back without defs
+        tree_form = Certificate(cert.unfold(), cert.pumps)
+        tree_text = certificate_to_text(system, tree_form)
+        assert not tree_text.startswith("def ") and " = " not in tree_text
+        back = certificate_from_text(system, tree_text)
+        assert back == tree_form and not back.defs and not back.grafts
+        assert certificate_to_text(system, back) == tree_text
+        for form in (again, back):
+            assert check_certificate_report(system, form, claimed) == (True, "ok")
+
+
+def test_shared_certificates_stay_small():
+    # the tree format wrote these as 230 kB and 311 kB of node lines
+    system = gen_doubling(12)
+    _, cert = _decide_extract(system, "q_12", 4096)
+    assert (len(cert.defs), len(cert.tree), len(cert.unfold())) == (14, 1, 12_287)
+    assert len(certificate_to_text(system, cert)) < 1_000
+    system, entry = gen_binary_constant(5000)
+    _, cert = _decide_extract(system, system.state_name(entry), 5000)
+    assert len(cert.unfold()) == 15_010
+    assert len(certificate_to_text(system, cert)) < 1_000
 
 
 def test_decisions_are_deterministic():
@@ -165,19 +223,54 @@ def test_decisions_are_deterministic():
     assert first == second
 
 
+def test_grafted_leaf_is_not_counted_for_exclusivity():
+    # s(0) -> s(1) -> s(2) splits into the pumped leaf s(1) and a graft of
+    # s(1); both sit below the root s(0), but only the pumped one is a leaf
+    # of the derivation, so the pumping segments are exclusive
+    system = parse_bvass(PUMP_TEXT)
+    s, f = system.state_id("s"), system.state_id("f")
+    tree = PartialTree({"": Config(s, 0), "0": Config(s, 1), "00": Config(s, 2), "000": Config(s, 1), "001": Config(s, 1)})
+    defs = {0: (Config(f, 0), ()), 1: (Config(s, 0), (0,)), 2: (Config(s, 1), (1,))}
+    cert = Certificate(tree, {"000": PumpRecord("", 1)}, defs, {"001": 2})
+    assert not is_exclusive(cert.tree)  # read as a plain tree, 001 would pump from the root too
+    assert check_certificate_report(system, cert, Config(s, 0)) == (True, "ok")
+    assert is_exclusive(cert.unfold())
+    expanded = expand_certificate(system, cert, max_nodes=1000)
+    assert is_reachability_tree(system, expanded)
+
+
+def test_checker_shares_residue_tables_across_pumps(monkeypatch):
+    # two pumps with the same modulus and window: one residue table
+    system = parse_bvass(PUMP_TEXT)
+    s = system.state_id("s")
+    tree = PartialTree({"": Config(s, 0), "0": Config(s, 0), "1": Config(s, 0), "00": Config(s, 1), "10": Config(s, 1)})
+    cert = Certificate(tree, {"00": PumpRecord("0", 1), "10": PumpRecord("1", 1)})
+    built = []
+    real = residue.compute_table
+
+    def counting(query, budget=None):
+        built.append((query.d, query.n0))
+        return real(query, budget)
+
+    monkeypatch.setattr(residue, "compute_table", counting)
+    assert check_certificate_report(system, cert, Config(s, 0)) == (True, "ok")
+    assert built == [(1, 1)]
+
+
 # ---------------------------------------------------------------------------
 # structural discipline of extracted certificates
 
 
 def _assert_certificate_shape(system, cert, claimed_n):
     bound = 2 * system.num_states + claimed_n
-    assert all(c.counter <= bound for c in cert.tree.labels.values())
-    assert is_exclusive(cert.tree)
-    cls = classify_nodes(cert.tree)
+    tree = cert.unfold()
+    assert all(c.counter <= bound for c in tree.labels.values())
+    assert is_exclusive(tree)
+    cls = classify_nodes(tree)
     for leaf, rec in cert.pumps.items():
         assert leaf in cls.increasing
         assert cls.anchor_of[leaf] == rec.anchor
-        assert cert.tree.is_leaf(leaf)
+        assert tree.is_leaf(leaf)
 
 
 def test_extracted_certificates_respect_bounds():
@@ -245,7 +338,18 @@ def test_expand_without_pumps_returns_same_tree():
     system = loop_gadget()
     _, cert = _decide_extract(system, "a", 3)
     expanded = expand_certificate(system, cert, max_nodes=100)
-    assert expanded.labels == cert.tree.labels
+    assert expanded.labels == cert.unfold().labels
+
+
+def test_expand_overflow_without_pumps():
+    # the size of the tree a DAG stands for is read off its defs up front
+    system = loop_gadget()
+    _, cert = _decide_extract(system, "a", 3)
+    assert not cert.pumps and len(cert.tree) == 1
+    with pytest.raises(ExpandOverflow) as info:
+        expand_certificate(system, cert, max_nodes=4)
+    assert (info.value.needed, info.value.allowed) == (5, 4)
+    assert len(expand_certificate(system, cert, max_nodes=5)) == 5
 
 
 def test_expand_pumped_certificate_to_full_tree():
