@@ -19,9 +19,9 @@ those masks.  S comes from ``BoundedReach``, the one bounded-reach
 kernel, which the reach engine (its reach rules under the bound B) and
 certificate expansion (the witness for each pumped leaf) run as well.
 Those two record one tick and rule per add event, to replay a
-derivation; the residue tables never replay and record none.  The
-set-level operations (``delta_unary`` and friends) are also exposed
-literally for cross-checking in tests.
+derivation; the residue tables never replay and record none.  Every
+sumset, of counter values and of residues alike, goes through
+``_sumset``.
 """
 from __future__ import annotations
 
@@ -125,7 +125,12 @@ def _mask_pairs(masks):
 
 
 def _sumset(a: int, b: int) -> int:
-    """{x + y : bit x of a, bit y of b} as a bitmask; operands untruncated."""
+    """{x + y : bit x of a, bit y of b} as a bitmask; operands untruncated.
+
+    Walks the runs of the operand with fewer set bits: the other operand
+    is smeared over a run of n consecutive bits by O(log n) doubling
+    shift-ors, then shifted to the run's start.
+    """
     if a == 0 or b == 0:
         return 0
     if a.bit_count() > b.bit_count():
@@ -133,8 +138,17 @@ def _sumset(a: int, b: int) -> int:
     out = 0
     while a:
         low = a & -a
-        out |= b << (low.bit_length() - 1)
-        a ^= low
+        past = a + low  # the run starting at low carries into the bit above it
+        end = past & -past
+        a = past ^ end
+        lo = low.bit_length() - 1
+        n = end.bit_length() - 1 - lo
+        smear, width = b, 1
+        while width < n:
+            step = width if width + width <= n else n - width
+            smear |= smear << step
+            width += step
+        out |= smear << lo
     return out
 
 
@@ -159,29 +173,6 @@ def _fold_mod(mask: int, d: int, base: int = 0) -> int:
     while g:
         out |= g & dmask
         g >>= d
-    return out
-
-
-def _rotate(x: int, r: int, d: int) -> int:
-    """Cyclic left shift of a d-bit mask: residue class r' maps to r' + r mod d."""
-    r %= d
-    if r == 0 or x == 0:
-        return x
-    dmask = (1 << d) - 1
-    return ((x << r) | (x >> (d - r))) & dmask
-
-
-def _cyclic_sumset(a: int, b: int, d: int) -> int:
-    """{(r0 + r1) mod d} over the set bits of two d-bit masks."""
-    if a == 0 or b == 0:
-        return 0
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    out = 0
-    while a:
-        low = a & -a
-        out |= _rotate(b, low.bit_length() - 1, d)
-        a ^= low
     return out
 
 
@@ -347,11 +338,11 @@ def _r_fixpoint(
         new = [0] * nq
         for t in system.unary:
             # parent residue = child residue - z (mod d)
-            new[t.source] |= _rotate(r[t.target], -t.delta, d)
+            new[t.source] |= _fold_mod(r[t.target], d, base=-t.delta)
         for t in system.branching:
             rl, rr = r[t.left], r[t.right]
-            new[t.source] |= _cyclic_sumset(rl, s_mod[t.right] | rr, d)
-            new[t.source] |= _cyclic_sumset(s_mod[t.left], rr, d)
+            new[t.source] |= _fold_mod(_sumset(rl, s_mod[t.right] | rr), d)
+            new[t.source] |= _fold_mod(_sumset(s_mod[t.left], rr), d)
         changed = False
         for q in range(nq):
             extra = new[q] & ~r[q]
@@ -396,50 +387,6 @@ def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueT
 def residue_reachable(query: ResidueQuery, budget: Budget | None = None) -> tuple[bool, ResidueTable]:
     table = compute_table(query, budget)
     return table.holds, table
-
-
-# ---------------------------------------------------------------------------
-# literal set-level operations, kept as the readable reference semantics
-
-
-def delta_unary(system: Bvass1, v: set[tuple[int, int]], d: int) -> set[tuple[int, int]]:
-    """{(q, (r - z) mod d) : (q, z, p) a unary transition, (p, r) in v}."""
-    return {(t.source, (r - t.delta) % d) for t in system.unary for (p, r) in v if p == t.target}
-
-
-def delta_branch(
-    system: Bvass1, v: set[tuple[int, int]], w: set[tuple[int, int]], d: int
-) -> set[tuple[int, int]]:
-    """{(q, (r0 + r1) mod d) : branching (q, p0, p1), (p0, r0) in v, (p1, r1) in w}."""
-    out = set()
-    for t in system.branching:
-        for (p0, r0) in v:
-            if p0 != t.left:
-                continue
-            for (p1, r1) in w:
-                if p1 == t.right:
-                    out.add((t.source, (r0 + r1) % d))
-    return out
-
-
-def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Literal root-step enumeration over an explicit S set."""
-    system, cap, d = query.system, query.cap, query.d
-    by_state: dict[int, set[int]] = {}
-    for (q, m) in s:
-        by_state.setdefault(q, set()).add(m)
-    out: set[tuple[int, int]] = set()
-    for t in system.unary:
-        for m in by_state.get(t.target, ()):
-            n = m - t.delta
-            if n >= cap:
-                out.add((t.source, n % d))
-    for t in system.branching:
-        for m0 in by_state.get(t.left, ()):
-            for m1 in by_state.get(t.right, ()):
-                if m0 + m1 >= cap:
-                    out.add((t.source, (m0 + m1) % d))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -360,3 +360,77 @@ def _naive_build_witness(
             assert cov is not None
             n_values.append(cov)
     return Witness(tuple(states), transitions, len(prefix), tuple(n_values))
+
+
+# ---------------------------------------------------------------------------
+# literal set-level residue operations and the per-bit sumsets
+
+
+def delta_unary(system: Bvass1, v: set[tuple[int, int]], d: int) -> set[tuple[int, int]]:
+    """{(q, (r - z) mod d) : (q, z, p) a unary transition, (p, r) in v}."""
+    return {(t.source, (r - t.delta) % d) for t in system.unary for (p, r) in v if p == t.target}
+
+
+def delta_branch(
+    system: Bvass1, v: set[tuple[int, int]], w: set[tuple[int, int]], d: int
+) -> set[tuple[int, int]]:
+    """{(q, (r0 + r1) mod d) : branching (q, p0, p1), (p0, r0) in v, (p1, r1) in w}."""
+    out = set()
+    for t in system.branching:
+        for (p0, r0) in v:
+            if p0 != t.left:
+                continue
+            for (p1, r1) in w:
+                if p1 == t.right:
+                    out.add((t.source, (r0 + r1) % d))
+    return out
+
+
+def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """Literal root-step enumeration over an explicit S set."""
+    system, cap, d = query.system, query.cap, query.d
+    by_state: dict[int, set[int]] = {}
+    for (q, m) in s:
+        by_state.setdefault(q, set()).add(m)
+    out: set[tuple[int, int]] = set()
+    for t in system.unary:
+        for m in by_state.get(t.target, ()):
+            n = m - t.delta
+            if n >= cap:
+                out.add((t.source, n % d))
+    for t in system.branching:
+        for m0 in by_state.get(t.left, ()):
+            for m1 in by_state.get(t.right, ()):
+                if m0 + m1 >= cap:
+                    out.add((t.source, (m0 + m1) % d))
+    return frozenset(out)
+
+
+def naive_sumset(a: int, b: int) -> int:
+    """{x + y : bit x of a, bit y of b}: one shift-or per set bit of the sparser operand."""
+    if a == 0 or b == 0:
+        return 0
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def naive_cyclic_sumset(a: int, b: int, d: int) -> int:
+    """{(r0 + r1) mod d} over the set bits of two d-bit masks, by cyclic rotations."""
+    if a == 0 or b == 0:
+        return 0
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    dmask = (1 << d) - 1
+    out = 0
+    while a:
+        low = a & -a
+        r = (low.bit_length() - 1) % d
+        out |= ((b << r) | (b >> (d - r))) & dmask if r else b
+        a ^= low
+    return out

@@ -182,3 +182,20 @@ def test_bounded_query_on_a_400_gate_circuit_is_fast():
     is_unbounded, reason, _ = unbounded_report(system, 0)
     assert time.perf_counter() - start < 1.0
     assert not is_unbounded and reason.startswith("bounded")
+
+
+def test_max_coverable_at_a_large_clamp_is_fast():
+    # one shift-or per set bit of a full 10^5-bit window took about 40 s here
+    system = gen_random(10, 30, 10, 2, 3)
+    start = time.perf_counter()
+    profile = ResidueCache(system).max_coverable(10**5)
+    assert time.perf_counter() - start < 1.0
+    assert profile == [10**5] * 10
+
+
+def test_coverable_at_5000_is_fast():
+    # about 0.3 s with the per-bit sumset
+    system = gen_random(15, 45, 15, 2, 5)
+    start = time.perf_counter()
+    assert coverable(system, 0, 5000)
+    assert time.perf_counter() - start < 1.0

@@ -13,16 +13,13 @@ from bvass1.residue import (
     BudgetExceeded,
     ResidueCache,
     ResidueQuery,
-    compute_R0,
     compute_table,
-    delta_branch,
-    delta_unary,
     residue_reachable,
 )
 
 import pytest
 
-from helpers import b2, loop_gadget
+from helpers import b2, compute_R0, delta_branch, delta_unary, loop_gadget
 
 
 def _q(system, name, n0, d) -> ResidueQuery:
@@ -121,6 +118,14 @@ def test_answer_pins():
     assert residue_reachable(_q(loop, "a", 7, 5))[0]
 
 
+def test_unary_cycle_keeps_residues_apart():
+    # q reaches exactly the multiples of 3, p the values 3k+2, r the values 3k+1
+    system = parse_bvass("state q state p state r final q unary q -1 p unary p -1 r unary r -1 q")
+    for name, residue in (("q", 0), ("p", 2), ("r", 1)):
+        for n0 in range(12):
+            assert residue_reachable(_q(system, name, n0, 3))[0] == (n0 % 3 == residue), (name, n0)
+
+
 def test_query_validation():
     system = b2()
     with pytest.raises(ValueError):
@@ -154,6 +159,14 @@ def test_pipeline_matches_literal_sets(num_states, num_unary, num_branching, see
     query = ResidueQuery(system, 0, n0, d)
     table = compute_table(query)
     assert table.R0 == compute_R0(query, table.S)
+    s_mod = {(q, m % d) for (q, m) in table.S}
+    r = set(table.R0)
+    while True:
+        grown = r | delta_unary(system, r, d) | delta_branch(system, r, s_mod | r, d) | delta_branch(system, s_mod, r, d)
+        if grown == r:
+            break
+        r = grown
+    assert table.R == r
     assert table.R0 <= table.R <= table.X
     assert 1 <= table.iterations <= table.big_n
     if not table.R0:
