@@ -153,15 +153,18 @@ class Bvass1:
             out[t.source].add((t.delta, t.target))
         return tuple(frozenset(v) for v in out)
 
-    def successors(self, state: int) -> set[int]:
-        """States directly enterable from ``state`` by any transition."""
-        out: set[int] = set()
-        for i in self.unary_by_source[state]:
-            out.add(self.unary[i].target)
-        for i in self.branching_by_source[state]:
-            out.add(self.branching[i].left)
-            out.add(self.branching[i].right)
-        return out
+    @cached_property
+    def state_graph(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        """(successors, predecessors): per state, the states one transition
+        from it enters, and the states with a transition entering it."""
+        succ: list[set[int]] = [set() for _ in range(self.num_states)]
+        pred: list[set[int]] = [set() for _ in range(self.num_states)]
+        edges = [(t.source, t.target) for t in self.unary]
+        edges += [(t.source, p) for t in self.branching for p in (t.left, t.right)]
+        for q, p in edges:
+            succ[q].add(p)
+            pred[p].add(q)
+        return tuple(map(frozenset, succ)), tuple(map(frozenset, pred))
 
 
 def validate_bvass(system: Bvass1) -> list[str]:

@@ -142,29 +142,69 @@ class Certificate:
         Every graft must name a def; the checker makes sure of that.
         """
         labels = dict(self.tree.labels)
-        for addr, i in self.grafts.items():
-            _unfold_def(labels, addr, self.defs, i)
+        _unfold_defs(labels, self.grafts, self.defs)
         return PartialTree(labels)
 
 
-def _unfold_def(out: dict[str, Config], addr: str, defs: dict[int, Def], root: int) -> None:
-    """Write the subtree of def ``root`` into ``out`` under ``addr``."""
+def _unfold_defs(out: dict[str, Config], grafts: dict[str, int], defs: dict[int, Def]) -> None:
+    """Write the subtree of each grafted def into ``out`` under its address.
+
+    A def occurring more than once among the grafts and the children of
+    the defs below them has its relative addresses and labels built once,
+    children before parents; each occurrence then costs one ``dict.update``
+    of its prefixed addresses.  The rest is walked node by node.
+    """
+    refs: dict[int, int] = {}
+    stack = list(grafts.values())
+    while stack:
+        i = stack.pop()
+        if i in refs:
+            refs[i] += 1
+        else:
+            refs[i] = 1
+            stack += defs[i][1]
+    shared: dict[int, tuple[list[str], list[Config]]] = {}
+    for i in sorted(i for i, r in refs.items() if r > 1):
+        shared[i] = _walk_def("", i, defs, shared)
+    for addr, i in grafts.items():
+        out.update(zip(*_walk_def(addr, i, defs, shared)))
+
+
+def _walk_def(
+    addr: str, root: int, defs: dict[int, Def], shared: dict[int, tuple[list[str], list[Config]]]
+) -> tuple[list[str], list[Config]]:
+    """The addresses and labels of def ``root`` under ``addr``, in walk order.
+
+    A def in ``shared`` is not walked: its built addresses are prefixed.
+    """
+    addrs: list[str] = []
+    cfgs: list[Config] = []
     stack = [(addr, root)]
     while stack:
-        addr, i = stack.pop()
+        a, i = stack.pop()
+        if i in shared:
+            rels, labels = shared[i]
+            addrs += [a + r for r in rels]
+            cfgs += labels
+            continue
         cfg, kids = defs[i]
-        out[addr] = cfg
+        addrs.append(a)
+        cfgs.append(cfg)
         if kids:
-            stack.append((addr + "0", kids[0]))
+            stack.append((a + "0", kids[0]))
             if len(kids) == 2:
-                stack.append((addr + "1", kids[1]))
+                stack.append((a + "1", kids[1]))
+    return addrs, cfgs
 
 
 def _def_sizes(defs: dict[int, Def]) -> dict[int, int]:
     """Node count of each def's unfolded subtree; children have smaller ids."""
     size: dict[int, int] = {}
-    for i in sorted(defs):
-        size[i] = 1 + sum(size[c] for c in defs[i][1])
+    for i, (_, kids) in sorted(defs.items()):
+        n = 1
+        for c in kids:
+            n += size[c]
+        size[i] = n
     return size
 
 
@@ -172,32 +212,13 @@ def _def_sizes(defs: dict[int, Def]) -> dict[int, int]:
 # state-graph helpers
 
 
-def _successor_sets(system: Bvass1) -> list[set[int]]:
-    return [system.successors(q) for q in range(system.num_states)]
-
-
-def _forward_set(succ: list[set[int]], start: int) -> set[int]:
+def _closure(edges: tuple[frozenset[int], ...], start: int) -> set[int]:
+    """The states reachable from ``start`` along ``edges``, start included."""
     seen = {start}
     stack = [start]
     while stack:
         q = stack.pop()
-        for p in succ[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
-def _backward_set(system: Bvass1, target: int) -> set[int]:
-    pred: list[set[int]] = [set() for _ in range(system.num_states)]
-    for q, outs in enumerate(_successor_sets(system)):
-        for p in outs:
-            pred[p].add(q)
-    seen = {target}
-    stack = [target]
-    while stack:
-        q = stack.pop()
-        for p in pred[q]:
+        for p in edges[q]:
             if p not in seen:
                 seen.add(p)
                 stack.append(p)
@@ -210,7 +231,7 @@ def _cyclic_states(system: Bvass1) -> set[int]:
     One iterative Tarjan pass: a state is cyclic iff its strongly
     connected component has more than one state or it has a self-loop.
     """
-    succ = _successor_sets(system)
+    succ = system.state_graph[0]
     nq = system.num_states
     index = [-1] * nq
     low = [0] * nq
@@ -330,13 +351,14 @@ class FixpointTables:
 
     def _activate_contexts(self, context_states: set[int]) -> None:
         system = self.system
-        backs = {s: _backward_set(system, s) for s in sorted(context_states)}
+        pred = system.state_graph[1]
         for s in sorted(context_states):
+            back = _closure(pred, s)
             top = min(self.max_cover[s], self.bound)
             for m_star in range(1, top + 1):
                 self.budget.charge(system.num_states)
                 ci = len(self.contexts)
-                ctx = _Context(s, m_star, system.num_states, backs[s])
+                ctx = _Context(s, m_star, system.num_states, back)
                 self.contexts.append(ctx)
                 for i, t in enumerate(system.branching):
                     if t.left in ctx.back:
@@ -457,8 +479,7 @@ class FixpointTables:
 def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> FixpointTables:
     """Decide one configuration; pump contexts restricted to its state cone."""
     system = query.system
-    succ = _successor_sets(system)
-    cone = _forward_set(succ, query.state)
+    cone = _closure(system.state_graph[0], query.state)
     context_states = _cyclic_states(system) & cone
     return FixpointTables(system, query.bound, query.n, context_states, Budget(budget))
 
@@ -515,15 +536,18 @@ class _ReplayOverLimit(Exception):
     """A size-limited replay grew past its allowance."""
 
 
-def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int], q: int, m: int) -> tuple:
-    """How the first justification of q(m) in one table unfolds.
+def _replay_step(
+    reach: BoundedReach, contexts: list[_Context], ci: Optional[int], m: int, ts: int, rule: tuple
+) -> tuple:
+    """How a key with counter m unfolds, given its first justification.
 
-    Returns (starts a path, children) with children as (address suffix,
-    key), a key being (context index or None for a reach node, state,
-    counter); children is None at a pumped leaf.  A pump rule at a reach
-    node starts a path of its context anchored at that node.
+    ``ts`` and ``rule`` are the tick and rule of the add event that set
+    the key's bit in table ``ci`` (None for the reach table).  Returns
+    (starts a path, children) with children as (address suffix, key), a
+    key being (context index or None for a reach node, state, counter);
+    children is None at a pumped leaf.  A pump rule at a reach node
+    starts a path of its context anchored at that node.
     """
-    ts, rule = reach.rule_of(q, m) if ci is None else contexts[ci].info[q][m]
     kind = rule[0]
     if kind == "final":
         return False, ()
@@ -547,22 +571,50 @@ def _replay_step(reach: BoundedReach, contexts: list[_Context], ci: Optional[int
     return starts_path, (("0", (lci, t.left, m0)), ("1", (rci, t.right, m - m0)))
 
 
+def _loop_run(steps: dict[tuple, tuple], q: int, m: int, z: int, bits: int) -> tuple[list[tuple], tuple]:
+    """The keys q(m), q(m+z), ... that one self-loop event set, and the key below them.
+
+    The run goes on while the next counter's bit belongs to the same
+    event, whose rule is then the same loop, and stops early at a key
+    already replayed.  Returns (the run's keys, the child of its last).
+    """
+    if z > 0:
+        x = bits >> m
+        length = (~x & (x + 1)).bit_length() - 1  # trailing ones
+    else:
+        length = m + 1 - (~bits & ((1 << (m + 1)) - 1)).bit_length()
+    keys = []
+    for c in range(m, m + length * z, z):
+        key = (None, q, c)
+        if key in steps:
+            return keys, key
+        keys.append(key)
+    return keys, (None, q, m + length * z)
+
+
 def _replay(
     reach: BoundedReach, contexts: list[_Context], state: int, n: int, key_limit: int | None = None
-) -> tuple[dict[int, Def], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
+) -> tuple[dict[int, Def], list[int], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
     """Read the derivation of state(n) back from the first justifications.
 
     A derivation is fixed by its (table, state, counter) keys, so each key
     is unfolded once.  A reach key with no pumped leaf below it becomes a
     def, numbered when its children are done; the other keys form the
     spine, unfolded from the root down to the pumped leaves, with a graft
-    wherever it meets a def.  Returns (defs, spine labels with the graft
+    wherever it meets a def.  A reach key set by a +1 or -1 self-loop of
+    its own state heads a run of keys down the loop, all set by that one
+    event: the run is taken in one step, and numbered in one step once
+    the key below it is done, in the order a key-by-key walk would give.
+    Returns (defs, each def's unfolded size, spine labels with the graft
     leaves, grafts, pumps as leaf -> (anchor, gap)).  ``key_limit`` bounds
     the number of distinct keys; a tree has at least as many nodes.
     """
+    unary = reach.system.unary
     steps: dict[tuple, tuple] = {}
     ids: dict[tuple, Optional[int]] = {}  # key -> def id, None on the spine
     defs: dict[int, Def] = {}
+    sizes: list[int] = []
+    runs: dict[tuple, tuple[list[tuple], tuple]] = {}  # head key -> its run, head first, and the key below
     root = (None, state, n)
     stack = [root]
     while stack:
@@ -571,23 +623,50 @@ def _replay(
         if step is None:
             if key_limit is not None and len(steps) >= key_limit:
                 raise _ReplayOverLimit
-            step = steps[key] = _replay_step(reach, contexts, *key)
-            if step[1]:
+            ci, q, m = key
+            if ci is None:
+                ts, rule, bits = reach.entry_of(q, m)
+            else:  # path tables justify bit by bit: no runs there
+                (ts, rule), bits = contexts[ci].info[q][m], 0
+            t = unary[rule[1]] if bits and rule[0] == "unary" else None
+            if t is not None and t.target == q and t.delta:
+                run, below = runs[key] = _loop_run(steps, q, m, t.delta, bits)
+                if key_limit is not None and len(steps) + len(run) > key_limit:
+                    raise _ReplayOverLimit
+                for k, child in zip(run, run[1:] + [below]):
+                    steps[k] = (False, (("0", child),))
+                step = steps[key]
+                todo = [below] if below not in steps else None
+            else:
+                step = steps[key] = _replay_step(reach, contexts, ci, m, ts, rule)
+                todo = [ck for _, ck in reversed(step[1]) if ck not in steps] if step[1] else None
+            if todo:
                 # children finish before their parent, so get smaller ids
-                stack.extend(ck for _, ck in reversed(step[1]) if ck not in steps)
+                stack.extend(todo)
                 continue
         stack.pop()
         if key in ids:
             continue
+        if runs and key in runs:
+            # the run's keys, numbered bottom-up as a key-by-key walk would
+            run, below = runs.pop(key)
+            i = ids[below]
+            for k in reversed(run):
+                if i is not None:
+                    defs[len(defs)] = (Config(k[1], k[2]), (i,))
+                    sizes.append(sizes[i] + 1)
+                    i = len(sizes) - 1
+                ids[k] = i
+            continue
         starts_path, children = step
-        kids = None
+        i = None
         if key[0] is None and not starts_path and children is not None:
-            kids = tuple(ids[ck] for _, ck in children)
-        if kids is None or None in kids:
-            ids[key] = None
-        else:
-            ids[key] = len(defs)
-            defs[len(defs)] = (Config(key[1], key[2]), kids)
+            kids = tuple([ids[ck] for _, ck in children])
+            if None not in kids:
+                i = len(defs)
+                defs[i] = (Config(key[1], key[2]), kids)
+                sizes.append(1 + sum([sizes[c] for c in kids]))
+        ids[key] = i
 
     labels: dict[str, Config] = {}
     grafts: dict[str, int] = {}
@@ -612,14 +691,14 @@ def _replay(
             anchor = addr
         for suffix, ck in children:
             spine.append((addr + suffix, ck, anchor))
-    return defs, labels, grafts, pumps
+    return defs, sizes, labels, grafts, pumps
 
 
 def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificate:
     """Replay the recorded first justifications into one certificate."""
     if not tables.holds(query.state, query.n):
         raise ValueError("extract_certificate needs a positive decision")
-    defs, labels, grafts, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
+    defs, _, labels, grafts, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
     pumps = {leaf: PumpRecord(anchor=anchor, modulus=d) for leaf, (anchor, d) in sorted(raw_pumps.items())}
     return Certificate(tree=PartialTree(labels), pumps=pumps, defs=defs, grafts=grafts)
 
@@ -828,13 +907,13 @@ def expand_certificate(
             raise ExpandOverflow(base_nodes + 1, max_nodes)
 
         try:
-            wit_defs, _, wit_grafts, _ = _replay(
+            wit_defs, wit_sizes, _, wit_grafts, _ = _replay(
                 witness, [], leaf_cfg.state, value, key_limit=max_nodes - base_nodes
             )
         except _ReplayOverLimit:
             raise ExpandOverflow(max_nodes + 1, max_nodes) from None
         wit_root = wit_grafts[""]
-        projected = base_nodes + _def_sizes(wit_defs)[wit_root]
+        projected = base_nodes + wit_sizes[wit_root]
         if projected > max_nodes:
             raise ExpandOverflow(projected, max_nodes)
 
@@ -847,7 +926,7 @@ def expand_certificate(
                     out[base + rel] = Config(cfg.state, cfg.counter + shift)
                 else:
                     out[base + rel] = cfg
-        _unfold_def(out, anchor + path_rel * (k + 1), wit_defs, wit_root)
+        _unfold_defs(out, {anchor + path_rel * (k + 1): wit_root}, wit_defs)
         labels = out
     return PartialTree(labels)
 

@@ -194,7 +194,7 @@ class BoundedReach:
     justified by that loop, whose child is the neighbour toward the bit
     that started the fill.  Every add takes a fresh tick of ``tick``, a
     clock other tables may share, so the premises of a rule were set by
-    events with strictly smaller ticks; ``rule_of`` and ``as_of`` let a
+    events with strictly smaller ticks; ``entry_of`` and ``as_of`` let a
     replay read a derivation back.  With a budget, each new bit is
     charged as it is set.
     """
@@ -282,11 +282,11 @@ class BoundedReach:
         while queue:
             step(queue.popleft())
 
-    def rule_of(self, q: int, m: int) -> tuple[int, tuple]:
-        """The tick and rule of the add event that set bit m of q."""
-        for tick, rule, bits in self.log[q]:
-            if (bits >> m) & 1:
-                return tick, rule
+    def entry_of(self, q: int, m: int) -> tuple[int, tuple, int]:
+        """The log entry (tick, rule, bits) of the add event that set bit m of q."""
+        for entry in self.log[q]:
+            if (entry[2] >> m) & 1:
+                return entry
         raise KeyError((q, m))
 
     def as_of(self, q: int, before: int) -> int:

@@ -14,6 +14,7 @@ from bvass1.model import (
     is_accepting,
     parse_bvass,
 )
+from bvass1.reach import _replay_step
 from bvass1.residue import Budget, ResidueQuery, compute_table
 
 LOOP_TEXT = """
@@ -238,7 +239,11 @@ def naive_check_certificate_report(system: Bvass1, certificate, claimed: Config)
 
 def naive_cyclic_states(system: Bvass1) -> set[int]:
     """A state is cyclic iff it is reachable from one of its successors."""
-    succ = [system.successors(q) for q in range(system.num_states)]
+    succ: list[set[int]] = [set() for _ in range(system.num_states)]
+    for t in system.unary:
+        succ[t.source].add(t.target)
+    for t in system.branching:
+        succ[t.source].update((t.left, t.right))
     out = set()
     for q in range(system.num_states):
         stack = list(succ[q])
@@ -434,3 +439,68 @@ def naive_cyclic_sumset(a: int, b: int, d: int) -> int:
         out |= ((b << r) | (b >> (d - r))) & dmask if r else b
         a ^= low
     return out
+
+
+def naive_replay(reach, contexts: list, state: int, n: int):
+    """A certificate's parts replayed one key at a time, each by its own log scan.
+
+    The reference for ``reach._replay``, which takes a self-loop run in one
+    step: returns the same (defs, spine labels, grafts, pumps), with defs
+    numbered in post-order.
+    """
+
+    def first_justification(ci, q, m):
+        if ci is not None:
+            return contexts[ci].info[q][m]
+        for tick, rule, bits in reach.log[q]:
+            if (bits >> m) & 1:
+                return tick, rule
+        raise KeyError((q, m))
+
+    steps: dict[tuple, tuple] = {}
+    ids: dict[tuple, Optional[int]] = {}
+    defs: dict[int, tuple] = {}
+    root = (None, state, n)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        step = steps.get(key)
+        if step is None:
+            ci, _, m = key
+            step = steps[key] = _replay_step(reach, contexts, ci, m, *first_justification(*key))
+            if step[1]:
+                stack.extend(ck for _, ck in reversed(step[1]) if ck not in steps)
+                continue
+        stack.pop()
+        if key in ids:
+            continue
+        starts_path, children = step
+        kids = None
+        if key[0] is None and not starts_path and children is not None:
+            kids = tuple(ids[ck] for _, ck in children)
+        if kids is None or None in kids:
+            ids[key] = None
+        else:
+            ids[key] = len(defs)
+            defs[len(defs)] = (Config(key[1], key[2]), kids)
+
+    labels: dict[str, Config] = {}
+    grafts: dict[str, int] = {}
+    pumps: dict[str, tuple[str, int]] = {}
+    spine = [("", root, "")]
+    while spine:
+        addr, key, anchor = spine.pop()
+        ci, q, m = key
+        labels[addr] = Config(q, m)
+        if ids[key] is not None:
+            grafts[addr] = ids[key]
+            continue
+        starts_path, children = steps[key]
+        if children is None:
+            pumps[addr] = (anchor, contexts[ci].m_star - labels[anchor].counter)
+            continue
+        if starts_path:
+            anchor = addr
+        for suffix, ck in children:
+            spine.append((addr + suffix, ck, anchor))
+    return defs, labels, grafts, pumps

@@ -1,14 +1,22 @@
 """The bounded-reach kernel behind S, the reach core and expansion's witness."""
 from __future__ import annotations
 
-from bvass1.gen import gen_doubling
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bvass1.gen import gen_binary_constant, gen_doubling
 from bvass1.model import Bvass1, Config, PartialTree, is_reachability_tree, parse_bvass
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
     Certificate,
+    ExpandOverflow,
     ReachQuery,
     _cyclic_states,
+    _def_sizes,
     _replay,
+    _ReplayOverLimit,
+    _witness_value_scan,
     check_certificate_report,
     expand_certificate,
     extract_certificate,
@@ -17,7 +25,7 @@ from bvass1.reach import (
 )
 from bvass1.residue import BoundedReach
 
-from helpers import loop_gadget, random_instances
+from helpers import loop_gadget, naive_replay, random_instances
 from test_max_coverable import _family_systems as _gen_systems
 
 # a fills both ways from the one value c hands it; b adds c's value to a's
@@ -86,7 +94,7 @@ def test_every_kernel_bit_replays_into_a_derivation():
         for q, mask in enumerate(kernel.masks):
             for m in range(13):
                 if (mask >> m) & 1:
-                    defs, labels, grafts, pumps = _replay(kernel, [], q, m)
+                    defs, labels, grafts, pumps = _replay_matching_naive(kernel, [], q, m)
                     # without pump contexts the whole derivation is one def
                     assert not pumps and list(grafts) == [""]
                     tree = Certificate(PartialTree(labels), {}, defs, grafts).unfold()
@@ -94,6 +102,157 @@ def test_every_kernel_bit_replays_into_a_derivation():
                     assert is_reachability_tree(system, tree), (system, q, m)
                     replayed += 1
     assert replayed > 3000, replayed
+
+
+def _replay_matching_naive(reach: BoundedReach, contexts: list, state: int, n: int) -> tuple:
+    """``_replay`` of state(n), checked against the key-by-key reference.
+
+    Returns (defs, labels, grafts, pumps); the sizes must be the defs'
+    unfolded sizes.
+    """
+    defs, sizes, labels, grafts, pumps = _replay(reach, contexts, state, n)
+    assert (defs, labels, grafts, pumps) == naive_replay(reach, contexts, state, n), (state, n)
+    assert sizes == [size for _, size in sorted(_def_sizes(defs).items())]
+    return defs, labels, grafts, pumps
+
+
+@st.composite
+def _loop_systems(draw) -> Bvass1:
+    """Small systems with a +1 and a -1 self-loop, so both fill directions occur.
+
+    The +1 loop's state also jumps to the top of a -1 chain out of a final
+    state, so its first value is high and the loop fills down below it in
+    one event.
+    """
+    names = [f"s{i}" for i in range(draw(st.integers(2, 5)))]
+    state = st.sampled_from(names)
+    lines = [f"state {name}" for name in names]
+    finals = sorted(draw(st.sets(state, min_size=1, max_size=2)))
+    lines += [f"final {f}" for f in finals]
+    climber = draw(state)
+    chain = [finals[0]] + [f"c{i}" for i in range(draw(st.integers(2, 6)))]
+    lines += [f"state {c}" for c in chain[1:]]
+    lines += [f"unary {c} -1 {below}" for below, c in zip(chain, chain[1:])]
+    lines.append(f"unary {climber} 0 {chain[-1]}")
+    loops = [(climber, "+1"), (draw(state), "-1")]
+    loops += draw(st.lists(st.tuples(state, st.sampled_from(["+1", "-1"])), max_size=2))
+    lines += [f"unary {q} {z} {q}" for q, z in loops]
+    unary = draw(st.lists(st.tuples(state, st.sampled_from(["-1", "0", "+1"]), state), min_size=1, max_size=6))
+    lines += [f"unary {p} {z} {q}" for p, z, q in unary]
+    branch = draw(st.lists(st.tuples(state, state, state), max_size=3))
+    lines += [f"branch {p} {left} {right}" for p, left, right in branch]
+    return parse_bvass("\n".join(lines))
+
+
+@given(system=_loop_systems(), cap=st.integers(1, 24))
+@settings(max_examples=80, deadline=None)
+def test_run_replay_matches_key_by_key_replay(system, cap):
+    kernel = _kernel(system, cap, True)
+    for q, mask in enumerate(kernel.masks):
+        for m in range(cap + 1):
+            if (mask >> m) & 1:
+                defs, labels, grafts, _ = _replay_matching_naive(kernel, [], q, m)
+                tree = Certificate(PartialTree(labels), {}, defs, grafts).unfold()
+                assert is_reachability_tree(system, tree), (q, m)
+
+
+def _certify_against_naive(system: Bvass1, state: int, n: int) -> PartialTree:
+    """Certify and expand state(n), every replay checked against the reference."""
+    query = ReachQuery(system, state, n)
+    tables = run_query(query)
+    assert tables.holds(state, n)
+    _replay_matching_naive(tables.reach, tables.contexts, state, n)
+    certificate = extract_certificate(query, tables)
+    for leaf, rec in certificate.pumps.items():
+        cfg = certificate.tree.labels[leaf]
+        value, witness, _ = _witness_value_scan(system, cfg.state, cfg.counter, rec.modulus, 1 << 20)
+        _replay_matching_naive(witness, [], cfg.state, value)
+    tree = expand_certificate(system, certificate, max_nodes=100_000)
+    assert tree.labels[""] == Config(state, n)
+    assert is_reachability_tree(system, tree), (state, n)
+    return tree
+
+
+def test_run_replay_matches_on_doubling_hubs():
+    for k in range(11):
+        system = gen_doubling(k)
+        for n in range(min(4, 2**k + 1)):
+            tree = _certify_against_naive(system, system.state_id("q"), n)
+            assert len(tree) == 2 ** (k + 2) - n  # the hub climbs from n to 2^k
+
+
+def test_run_replay_matches_on_binary_constants():
+    for m in (1, 2, 7, 64, 100, 1000, 4097):
+        system, entry = gen_binary_constant(m)
+        _certify_against_naive(system, entry, m)
+
+
+def _hub_certificate(k: int, n: int = 0) -> tuple[Bvass1, Certificate]:
+    system = gen_doubling(k)
+    query = ReachQuery(system, system.state_id("q"), n)
+    return system, extract_certificate(query, run_query(query))
+
+
+def test_expansion_overflow_boundary_on_the_hub():
+    system, certificate = _hub_certificate(10)
+    tree = expand_certificate(system, certificate, max_nodes=10**6)
+    assert expand_certificate(system, certificate, max_nodes=len(tree)) == tree
+    with pytest.raises(ExpandOverflow) as err:
+        expand_certificate(system, certificate, max_nodes=len(tree) - 1)
+    assert err.value.needed > err.value.allowed == len(tree) - 1
+
+
+def test_key_limit_inside_a_self_loop_run():
+    # q(1) climbs its +1 loop to q(1023) in one fill event, then q(1024)
+    # enters the cascade: 1,023 run keys, then q(1024), q_10 .. q_0, q_f
+    system = gen_doubling(10)
+    q = system.state_id("q")
+    kernel = _kernel(system, 2048, True)
+    defs, *_ = _replay(kernel, [], q, 1)
+    keys = len(defs)  # without pump contexts every key is a def
+    assert keys == 1023 + 1 + 11 + 1
+    for limit in (1, 500, 1022, 1023, keys - 1):
+        with pytest.raises(_ReplayOverLimit):
+            _replay(kernel, [], q, 1, key_limit=limit)
+    assert _replay(kernel, [], q, 1, key_limit=keys)[0] == defs
+
+
+# b(m) splits into a(0), down a's +1 loop, and a(m), down its -1 loop to
+# the a(1) that the first run already replayed: the last keys are a run
+TWO_RUNS = BOTH_LOOPS.replace("branch b a c", "branch b a a")
+
+
+def test_key_limit_is_exactly_the_distinct_key_count():
+    for system in (_both_loops(), parse_bvass(TWO_RUNS), gen_doubling(3)):
+        kernel = _kernel(system, 12, True)
+        for q, mask in enumerate(kernel.masks):
+            for m in range(13):
+                if not (mask >> m) & 1:
+                    continue
+                defs, *_ = _replay(kernel, [], q, m)
+                assert _replay(kernel, [], q, m, key_limit=len(defs))[0] == defs
+                for limit in range(len(defs)):
+                    with pytest.raises(_ReplayOverLimit):
+                        _replay(kernel, [], q, m, key_limit=limit)
+
+
+def test_hub_expansion_looks_up_the_log_a_few_times(monkeypatch):
+    # the +1 climb of the witness is one log entry and one lookup; the
+    # cascade below it takes one per level
+    k = 12
+    system, certificate = _hub_certificate(k)
+    lookups = 0
+    entry_of = BoundedReach.entry_of
+
+    def counted(self, q, m):
+        nonlocal lookups
+        lookups += 1
+        return entry_of(self, q, m)
+
+    monkeypatch.setattr(BoundedReach, "entry_of", counted)
+    tree = expand_certificate(system, certificate, max_nodes=100_000)
+    assert len(tree) == 2 ** (k + 2)
+    assert lookups <= 8 * k, lookups
 
 
 def test_log_ticks_order_premises_before_conclusions():

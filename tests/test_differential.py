@@ -35,6 +35,7 @@ from bvass1.reach import (
     certificate_to_text,
     check_certificate_report,
     extract_certificate,
+    run_batch,
     run_query,
 )
 
@@ -278,3 +279,33 @@ def _family_systems():
 def test_cyclic_states_match_naive_on_every_family():
     for system in _family_systems():
         assert _cyclic_states(system) == naive_cyclic_states(system)
+
+
+def test_state_graph_and_pump_context_backward_sets_match_naive():
+    # every pump context watches the branches into the states that can reach its state
+    checked = 0
+    for system in _family_systems():
+        nq = system.num_states
+        succ: list[set[int]] = [set() for _ in range(nq)]
+        for t in system.unary:
+            succ[t.source].add(t.target)
+        for t in system.branching:
+            succ[t.source].update((t.left, t.right))
+        assert list(system.state_graph[0]) == succ
+        assert list(system.state_graph[1]) == [{q for q in range(nq) if p in succ[q]} for p in range(nq)]
+        if nq > 5:
+            continue
+
+        def reaches(q: int, s: int) -> bool:
+            seen, stack = {q}, [q]
+            while stack:
+                for r in succ[stack.pop()]:
+                    if r not in seen:
+                        seen.add(r)
+                        stack.append(r)
+            return q == s or s in seen
+
+        for ctx in run_batch(system, 2).contexts:
+            assert ctx.back == {q for q in range(nq) if reaches(q, ctx.state)}
+            checked += 1
+    assert checked > 1000, checked

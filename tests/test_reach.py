@@ -112,6 +112,32 @@ def test_loop_certificate_is_plain_chain():
     }
 
 
+def test_unfold_writes_a_def_shared_by_grafts_and_parents_everywhere():
+    # q_1(2) is grafted twice and is both children of q_2(4), itself grafted;
+    # unfolding reads the grafts only, so the spine needs no root here
+    system = b2()
+    q2, q1, q0, qf = (system.state_id(n) for n in ("q_2", "q_1", "q_0", "q_f"))
+    defs = {
+        0: (Config(qf, 0), ()),
+        1: (Config(q0, 1), (0,)),
+        2: (Config(q1, 2), (1, 1)),
+        3: (Config(q2, 4), (2, 2)),
+    }
+    spine = {"0": Config(q1, 2), "10": Config(q1, 2), "11": Config(q2, 4)}
+    cert = Certificate(PartialTree(spine), {}, defs, {"0": 2, "10": 2, "11": 3})
+
+    def subtree(i: int, addr: str) -> dict:
+        cfg, kids = defs[i]
+        out = {addr: cfg}
+        for suffix, c in zip("01", kids):
+            out.update(subtree(c, addr + suffix))
+        return out
+
+    expected = {**subtree(2, "0"), **subtree(2, "10"), **subtree(3, "11")}
+    assert cert.unfold().labels == expected
+    assert len(expected) == 5 + 5 + 11
+
+
 def test_certificate_round_trip_through_check():
     system = gen_doubling(4)
     query, cert = _decide_extract(system, "q", 0)
