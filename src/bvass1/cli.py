@@ -74,10 +74,15 @@ def _nat(text: str) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{path}: line {line}: not UTF-8 text ({exc.reason})")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -350,8 +355,10 @@ def _cmd_gen(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
         return _emit_system(args, system, system.state_name(entry))
-    # random
-    system = gen_random(args.states, args.unary, args.branch, args.finals, args.seed)
+    try:
+        system = gen_random(args.states, args.unary, args.branch, args.finals, args.seed)
+    except ValueError as exc:
+        raise CliError(f"--states {args.states}: {exc}")
     return _emit_system(args, system, None)
 
 

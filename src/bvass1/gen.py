@@ -229,6 +229,8 @@ def gen_random(
     seed: int,
 ) -> Bvass1:
     """Seeded random system; the same arguments always yield the same system."""
+    if num_states < 1:
+        raise ValueError("a random system needs at least one state")
     rng = random.Random(seed)
     names = tuple(f"s{i}" for i in range(num_states))
     unary = tuple(

@@ -124,18 +124,25 @@ class Bvass1:
         return {name: i for i, name in enumerate(self.state_names)}
 
     @cached_property
-    def unary_by_source(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_states)]
+    def rule_index(self) -> tuple[tuple[tuple, ...], ...]:
+        """(up, by_left, by_right, loops), the rules ("unary", i) and ("branch", i)
+        by premise state p in transition order: ``up[p]`` lists (source, shift,
+        rule) for the unary transitions into p, ``by_left[p]`` and ``by_right[p]``
+        (source, sibling, rule) for the branching ones with p as left resp.
+        right child, and ``loops[p]`` holds p's +1 and -1 self-loop rules or None."""
+        nq = self.num_states
+        up: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        by_left: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        by_right: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
+        loops: list[list[Optional[tuple]]] = [[None, None] for _ in range(nq)]
         for i, t in enumerate(self.unary):
-            out[t.source].append(i)
-        return tuple(tuple(v) for v in out)
-
-    @cached_property
-    def branching_by_source(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_states)]
+            up[t.target].append((t.source, t.delta, ("unary", i)))
+            if t.source == t.target and t.delta:
+                loops[t.source][t.delta < 0] = ("unary", i)
         for i, t in enumerate(self.branching):
-            out[t.source].append(i)
-        return tuple(tuple(v) for v in out)
+            by_left[t.left].append((t.source, t.right, ("branch", i)))
+            by_right[t.right].append((t.source, t.left, ("branch", i)))
+        return tuple(tuple(map(tuple, rows)) for rows in (up, by_left, by_right, loops))
 
     @cached_property
     def branch_pairs_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:

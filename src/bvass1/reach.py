@@ -36,11 +36,12 @@ leaf counters not above the state's largest coverable value.
 
 The reach masks are a ``residue.BoundedReach`` kernel under B: it
 applies the system's own rules (and saturates self-loops), and the pump
-rules add to it.  The kernel records one tick and rule per add event;
-a path table records the tick and rule of the add event on each new
-bit.  All ticks come from the kernel's clock, so a rule's premises
+rules add to it.  The kernel and every path table keep one event log
+(``residue.EventLog``): per state, one (tick, rule, bits) entry per add
+event.  All ticks come from the kernel's clock, so a rule's premises
 always carry smaller ticks than its conclusion, and a positive answer
-replays into a concrete certificate deterministically.
+replays into a concrete certificate deterministically, reading either
+kind of table the same way.
 """
 from __future__ import annotations
 
@@ -61,6 +62,7 @@ from .residue import (
     BoundedReach,
     Budget,
     BudgetExceeded,
+    EventLog,
     ResidueCache,
     _shift_parent,
     _sumset,
@@ -280,27 +282,18 @@ def _cyclic_states(system: Bvass1) -> set[int]:
 # fixpoint engine
 
 
-class _Context:
-    """Path table of one pump context (state, leaf counter)."""
+class _Context(EventLog):
+    """Path table of one pump context (state, leaf counter), with its event log."""
 
-    __slots__ = ("state", "m_star", "masks", "info", "probed", "back")
+    __slots__ = ("state", "m_star", "masks", "log", "probed", "back")
 
     def __init__(self, state: int, m_star: int, num_states: int, back: set[int]):
         self.state = state
         self.m_star = m_star
         self.masks = [0] * num_states
-        # per state: counter -> (tick, justification)
-        self.info: list[dict[int, tuple[int, tuple]]] = [{} for _ in range(num_states)]
+        self.log: list[list[tuple[int, tuple, int]]] = [[] for _ in range(num_states)]
         self.probed = 0  # anchor counters whose residue query was already asked
         self.back = back  # states with a path to self.state
-
-    def as_of(self, q: int, before: int) -> int:
-        """The bits of q set by add events with ticks below ``before``."""
-        out = 0
-        for m, (tick, _) in self.info[q].items():
-            if tick < before:
-                out |= 1 << m
-        return out
 
 
 class FixpointTables:
@@ -330,7 +323,8 @@ class FixpointTables:
         self.max_cover = self.residue_cache.max_coverable(bound + 1) if context_states else []
 
         nq = system.num_states
-        budget.charge(nq)
+        # the reach masks' window, charged before they exist
+        budget.charge(nq * (bound + 1))
 
         self.contexts: list[_Context] = []
         # reach-delta watchers: state -> [(ctx, branch, p_side)]
@@ -338,7 +332,7 @@ class FixpointTables:
         self._activate_contexts(context_states)
 
         # one queue for both tables: reach keys are states, path keys (ctx, state)
-        self.reach = BoundedReach(system, bound, justify=True, budget=budget)
+        self.reach = BoundedReach(system, bound, justify=True)
         self.reach_masks = self.reach.masks
         self._pending_p: list[list[int]] = [[0] * nq for _ in self.contexts]
         self._queued: set[tuple[int, int]] = set()
@@ -388,13 +382,7 @@ class FixpointTables:
         self.budget.charge(new.bit_count())
         ctx.masks[q] |= new
         self.reach.tick += 1
-        tick = self.reach.tick
-        info = ctx.info[q]
-        m = new
-        while m:
-            low = m & -m
-            info[low.bit_length() - 1] = (tick, just)
-            m ^= low
+        ctx.log[q].append((self.reach.tick, just, new))
         self._pending_p[ci][q] |= new
         key = (ci, q)
         if key not in self._queued:
@@ -565,8 +553,8 @@ def _replay_step(
     t = reach.system.branching[rule[1]]
     lci = ci if ci is not None and rule[2] == 0 else None
     rci = ci if ci is not None and rule[2] == 1 else None
-    left = reach.as_of(t.left, ts) if lci is None else contexts[lci].as_of(t.left, ts)
-    right = reach.as_of(t.right, ts) if rci is None else contexts[rci].as_of(t.right, ts)
+    left = (reach if lci is None else contexts[lci]).as_of(t.left, ts)
+    right = (reach if rci is None else contexts[rci]).as_of(t.right, ts)
     m0 = _resolve_branch_split(left, right, m)
     return starts_path, (("0", (lci, t.left, m0)), ("1", (rci, t.right, m - m0)))
 
@@ -624,11 +612,9 @@ def _replay(
             if key_limit is not None and len(steps) >= key_limit:
                 raise _ReplayOverLimit
             ci, q, m = key
-            if ci is None:
-                ts, rule, bits = reach.entry_of(q, m)
-            else:  # path tables justify bit by bit: no runs there
-                (ts, rule), bits = contexts[ci].info[q][m], 0
-            t = unary[rule[1]] if bits and rule[0] == "unary" else None
+            ts, rule, bits = (reach if ci is None else contexts[ci]).entry_of(q, m)
+            # runs are reach keys: a path table's loop step stays on the path
+            t = unary[rule[1]] if ci is None and rule[0] == "unary" else None
             if t is not None and t.target == q and t.delta:
                 run, below = runs[key] = _loop_run(steps, q, m, t.delta, bits)
                 if key_limit is not None and len(steps) + len(run) > key_limit:

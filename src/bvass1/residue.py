@@ -18,10 +18,12 @@ Value sets are packed into Python integers, one bit per counter value
 those masks.  S comes from ``BoundedReach``, the one bounded-reach
 kernel, which the reach engine (its reach rules under the bound B) and
 certificate expansion (the witness for each pumped leaf) run as well.
-Those two record one tick and rule per add event, to replay a
-derivation; the residue tables never replay and record none.  Every
-sumset, of counter values and of residues alike, goes through
-``_sumset``.
+Those two keep an ``EventLog``, one (tick, rule, bits) entry per add
+event, to replay a derivation, as the reach engine's path tables do;
+the residue tables never replay and log nothing.  The kernel and
+``_sup_bounds`` apply the system's rules through its one
+``Bvass1.rule_index``.  Every sumset, of counter values and of residues
+alike, goes through ``_sumset``.
 """
 from __future__ import annotations
 
@@ -176,7 +178,31 @@ def _fold_mod(mask: int, d: int, base: int = 0) -> int:
     return out
 
 
-class BoundedReach:
+class EventLog:
+    """A justified table's reading: ``log[q]`` holds one ``(tick, rule, bits)``
+    entry per add event that set bits of q, in tick order, their bits
+    disjoint and together q's mask."""
+
+    __slots__ = ()
+
+    def entry_of(self, q: int, m: int) -> tuple[int, tuple, int]:
+        """The log entry (tick, rule, bits) of the add event that set bit m of q."""
+        for entry in self.log[q]:
+            if (entry[2] >> m) & 1:
+                return entry
+        raise KeyError((q, m))
+
+    def as_of(self, q: int, before: int) -> int:
+        """The bits of q set by add events with ticks below ``before``."""
+        out = 0
+        for tick, _, bits in self.log[q]:
+            if tick >= before:
+                break
+            out |= bits
+        return out
+
+
+class BoundedReach(EventLog):
     """Per-state bitmasks of the values in [0, cap] with a cap-bounded derivation.
 
     The one bounded-reach fixpoint: S of the residue tables, the reach
@@ -189,39 +215,24 @@ class BoundedReach:
     downward resp. upward), which keeps long pump chains from dribbling
     through the queue one bit at a time.
 
-    With ``justify``, each add event appends one ``(tick, rule, bits)``
-    entry to the state's log, and a bit filled by a self-loop is
-    justified by that loop, whose child is the neighbour toward the bit
-    that started the fill.  Every add takes a fresh tick of ``tick``, a
-    clock other tables may share, so the premises of a rule were set by
-    events with strictly smaller ticks; ``entry_of`` and ``as_of`` let a
-    replay read a derivation back.  With a budget, each new bit is
-    charged as it is set.
+    With ``justify``, each add event, and each self-loop fill it sets
+    off, appends one ``(tick, rule, bits)`` entry to the state's log; a
+    bit filled by a self-loop is justified by that loop, whose child is
+    the neighbour toward the bit that started the fill.  Every entry
+    takes a fresh tick of ``tick``, a clock other tables may share, so
+    the premises of a rule were set by events with strictly smaller
+    ticks.  The masks cost (cap + 1) bits per state; callers with a
+    budget charge that window before they build the kernel.
     """
 
-    def __init__(self, system: Bvass1, cap: int, justify: bool = False, budget: Budget | None = None):
+    def __init__(self, system: Bvass1, cap: int, justify: bool = False):
         nq = system.num_states
         self.system = system
         self.cap = cap
         self.full = (1 << (cap + 1)) - 1
-        self.budget = budget
         self.log: list[list[tuple[int, tuple, int]]] | None = [[] for _ in range(nq)] if justify else None
         self.tick = 0
-        # rules by premise state: (conclusion state, shift or sibling, rule)
-        self.up: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        self.by_left: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        self.by_right: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        # per state, the rule of its +1 loop (fills down) and of its -1 loop (fills up)
-        self._loops: list[list[tuple | None]] = [[None, None] for _ in range(nq)]
-        for i, t in enumerate(system.unary):
-            rule = ("unary", i)
-            self.up[t.target].append((t.source, t.delta, rule))
-            if t.source == t.target and t.delta:
-                self._loops[t.source][t.delta < 0] = rule
-        for i, t in enumerate(system.branching):
-            rule = ("branch", i)
-            self.by_left[t.left].append((t.source, t.right, rule))
-            self.by_right[t.right].append((t.source, t.left, rule))
+        self.up, self.by_left, self.by_right, self._loops = system.rule_index
         self.masks = [0] * nq
         self._pending = [0] * nq
         self._queued = [False] * nq
@@ -246,18 +257,17 @@ class BoundedReach:
             if fill:
                 mask |= fill
                 if log is not None:
+                    self.tick += 1
                     log[q].append((self.tick, down, fill))
         if up is not None:
             fill = self.full & -(mask & -mask) & ~mask
             if fill:
                 mask |= fill
                 if log is not None:
+                    self.tick += 1
                     log[q].append((self.tick, up, fill))
         self.masks[q] = mask
-        new = mask & ~old
-        if self.budget is not None:
-            self.budget.charge(new.bit_count())
-        self._pending[q] |= new
+        self._pending[q] |= mask & ~old
         if not self._queued[q]:
             self._queued[q] = True
             self.queue.append(q)
@@ -281,22 +291,6 @@ class BoundedReach:
         queue, step = self.queue, self.step
         while queue:
             step(queue.popleft())
-
-    def entry_of(self, q: int, m: int) -> tuple[int, tuple, int]:
-        """The log entry (tick, rule, bits) of the add event that set bit m of q."""
-        for entry in self.log[q]:
-            if (entry[2] >> m) & 1:
-                return entry
-        raise KeyError((q, m))
-
-    def as_of(self, q: int, before: int) -> int:
-        """The bits of q set by add events with ticks below ``before``."""
-        out = 0
-        for tick, _, bits in self.log[q]:
-            if tick >= before:
-                break
-            out |= bits
-        return out
 
 
 def _r0_value_masks(system: Bvass1, s_masks: list[int], cap: int, d: int) -> list[int]:
@@ -361,9 +355,7 @@ def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueT
     system = query.system
     d, n0, cap = query.d, query.n0, query.cap
     if budget is not None:
-        budget.charge(3 * system.num_states * d)
-    if budget is not None:
-        budget.charge(system.num_states * (cap + 1))
+        budget.charge(system.num_states * (3 * d + cap + 1))
     bounded = BoundedReach(system, cap)
     bounded.run()
     s_masks = bounded.masks
@@ -405,18 +397,7 @@ def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
     except in the gap (lower, upper], closed by ``ResidueCache.max_coverable``.
     """
     nq = system.num_states
-    up_unary: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
-    climb = [False] * nq
-    for t in system.unary:
-        up_unary[t.target].append((t.source, t.delta))
-        # a (q,-1,q) loop climbs without limit from any reachable value
-        if t.source == t.target and t.delta == -1:
-            climb[t.source] = True
-    touch: list[list[int]] = [[] for _ in range(nq)]
-    for i, t in enumerate(system.branching):
-        touch[t.left].append(i)
-        if t.right != t.left:
-            touch[t.right].append(i)
+    up, by_left, by_right, loops = system.rule_index
 
     def run(optimistic: bool) -> list[int]:
         vals = [-1] * nq
@@ -427,7 +408,8 @@ def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
             v = min(v, clamp)
             if v <= vals[q]:
                 return
-            vals[q] = clamp if climb[q] else v
+            # a (q,-1,q) loop climbs without limit from any reachable value
+            vals[q] = clamp if loops[q][1] is not None else v
             if not queued[q]:
                 queued[q] = True
                 queue.append(q)
@@ -438,18 +420,16 @@ def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
             p = queue.popleft()
             queued[p] = False
             vp = vals[p]
-            for (src, z) in up_unary[p]:
+            for (src, z, _) in up[p]:
                 if optimistic and vp == clamp:
                     cand = clamp
                 else:
                     cand = vp - z
                 if cand >= 0:
                     relax(src, cand)
-            for i in touch[p]:
-                t = system.branching[i]
-                v0, v1 = vals[t.left], vals[t.right]
-                if v0 >= 0 and v1 >= 0:
-                    relax(t.source, v0 + v1)
+            for (src, sibling, _) in by_left[p] + by_right[p]:
+                if vals[sibling] >= 0:
+                    relax(src, vp + vals[sibling])
         return vals
 
     return run(False), run(True)

@@ -77,12 +77,10 @@ def random_valid_tree(system: Bvass1, rng: random.Random, max_nodes: int = 40) -
             continue  # leave this node a leaf
         cfg = labels[addr]
         options: list[tuple] = []
-        for i in system.unary_by_source[cfg.state]:
-            t = system.unary[i]
-            if cfg.counter + t.delta >= 0:
+        for t in system.unary:
+            if t.source == cfg.state and cfg.counter + t.delta >= 0:
                 options.append(("u", t))
-        for i in system.branching_by_source[cfg.state]:
-            options.append(("b", system.branching[i]))
+        options += [("b", t) for t in system.branching if t.source == cfg.state]
         if not options:
             continue
         kind, t = options[rng.randrange(len(options))]
@@ -450,9 +448,7 @@ def naive_replay(reach, contexts: list, state: int, n: int):
     """
 
     def first_justification(ci, q, m):
-        if ci is not None:
-            return contexts[ci].info[q][m]
-        for tick, rule, bits in reach.log[q]:
+        for tick, rule, bits in (reach if ci is None else contexts[ci]).log[q]:
             if (bits >> m) & 1:
                 return tick, rule
         raise KeyError((q, m))

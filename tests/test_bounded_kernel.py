@@ -255,16 +255,29 @@ def test_hub_expansion_looks_up_the_log_a_few_times(monkeypatch):
     assert lookups <= 8 * k, lookups
 
 
+def _check_log(table, masks: list[int]) -> int:
+    """One justified table's log against its masks; returns the bits checked."""
+    bits_checked = 0
+    for q, entries in enumerate(table.log):
+        ticks = [tick for tick, _, _ in entries]
+        assert all(a < b for a, b in zip(ticks, ticks[1:])), (q, ticks)
+        union = 0
+        for _, _, bits in entries:
+            assert bits and not bits & union  # one entry per bit
+            union |= bits
+        assert union == masks[q]
+        for m in range(union.bit_length()):
+            if (union >> m) & 1:
+                assert (table.entry_of(q, m)[2] >> m) & 1
+                bits_checked += 1
+    return bits_checked
+
+
 def test_log_ticks_order_premises_before_conclusions():
     for system in _family_systems():
         kernel = _kernel(system, 12, True)
+        _check_log(kernel, kernel.masks)
         for q, entries in enumerate(kernel.log):
-            assert [tick for tick, _, _ in entries] == sorted(tick for tick, _, _ in entries)
-            union = 0
-            for _, _, bits in entries:
-                assert bits and not bits & union  # one entry per bit
-                union |= bits
-            assert union == kernel.masks[q]
             for tick, rule, bits in entries:
                 if rule[0] != "branch":
                     continue
@@ -273,6 +286,18 @@ def test_log_ticks_order_premises_before_conclusions():
                 for m in range(bits.bit_length()):
                     if (bits >> m) & 1:
                         assert any((left >> m0) & 1 and (right >> (m - m0)) & 1 for m0 in range(m + 1))
+
+
+def test_kernel_and_path_logs_partition_their_masks():
+    # the reach kernel and every pump context log one entry per add event,
+    # each on a fresh tick of the one clock
+    kernel_bits = path_bits = 0
+    for system in random_instances() + _family_systems():
+        tables = run_batch(system, 6)
+        kernel_bits += _check_log(tables.reach, tables.reach_masks)
+        for ctx in tables.contexts:
+            path_bits += _check_log(ctx, ctx.masks)
+    assert kernel_bits > 5000 and path_bits > 50_000, (kernel_bits, path_bits)
 
 
 def _certify(system: Bvass1, state: int, n: int) -> bool:

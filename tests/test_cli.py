@@ -67,6 +67,27 @@ def test_decide_bad_system_text(tmp_path, capsys):
     assert "unknown state" in capsys.readouterr().err
 
 
+def test_non_utf8_input_names_the_line(b2_file, tmp_path, capsys):
+    system = tmp_path / "latin1.bvass"
+    system.write_bytes(b"state q\n# caf\xe9\nfinal q\n")
+    assert main(["decide", "reach", "--system", str(system), "--state", "q", "--n", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"{system}: line 2: not UTF-8" in err
+    certificate = tmp_path / "bad.cert"
+    certificate.write_bytes(b"e q_2 4\n0 q_2 \xff\n")
+    assert main(["check", "--system", b2_file, "--certificate", str(certificate), "--state", "q_2", "--n", "4"]) == 2
+    assert f"{certificate}: line 2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system_text", ["state q\nfinal q\n", "state q\nfinal q\nunary q -1 q\n"])
+def test_decide_reach_huge_n_is_a_budget_refusal(tmp_path, capsys, system_text):
+    # the reach masks' window is charged before a mask of 10^20 bits is built
+    path = tmp_path / "one.bvass"
+    path.write_text(system_text)
+    assert main(["decide", "reach", "--system", str(path), "--state", "q", "--n", str(10**20)]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_decide_cover(b2_file, capsys):
     assert main(["decide", "cover", "--system", b2_file, "--state", "q_2", "--n", "4"]) == 0
     assert main(["decide", "cover", "--system", b2_file, "--state", "q_2", "--n", "5"]) == 1
@@ -435,6 +456,12 @@ def test_gen_subsetsum_rejects_bad_values(capsys):
     capsys.readouterr()
     assert main(["gen", "subsetsum", "--values", "0", "--target", "3"]) == 2
     assert "values must be >= 1" in capsys.readouterr().err
+
+
+def test_gen_random_rejects_zero_states(capsys):
+    argv = ["gen", "random", "--states", "0", "--unary", "1", "--branch", "0", "--finals", "0", "--seed", "1"]
+    assert main(argv) == 2
+    assert "at least one state" in capsys.readouterr().err
 
 
 def test_gen_random_is_byte_deterministic(tmp_path):

@@ -282,7 +282,9 @@ def test_cyclic_states_match_naive_on_every_family():
 
 
 def test_state_graph_and_pump_context_backward_sets_match_naive():
-    # every pump context watches the branches into the states that can reach its state
+    # the rule index lists each rule under its premise states, in transition
+    # order; every pump context watches the branches into the states that
+    # can reach its state
     checked = 0
     for system in _family_systems():
         nq = system.num_states
@@ -293,6 +295,16 @@ def test_state_graph_and_pump_context_backward_sets_match_naive():
             succ[t.source].update((t.left, t.right))
         assert list(system.state_graph[0]) == succ
         assert list(system.state_graph[1]) == [{q for q in range(nq) if p in succ[q]} for p in range(nq)]
+        up, by_left, by_right, loops = system.rule_index
+        unary = list(enumerate(system.unary))
+        branching = list(enumerate(system.branching))
+        for p in range(nq):
+            assert list(up[p]) == [(t.source, t.delta, ("unary", i)) for i, t in unary if t.target == p]
+            assert list(by_left[p]) == [(t.source, t.right, ("branch", i)) for i, t in branching if t.left == p]
+            assert list(by_right[p]) == [(t.source, t.left, ("branch", i)) for i, t in branching if t.right == p]
+            plus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == 1]
+            minus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == -1]
+            assert loops[p] == ((plus or [None])[-1], (minus or [None])[-1])
         if nq > 5:
             continue
 
