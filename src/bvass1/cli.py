@@ -252,6 +252,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    budget = args.budget if args.budget is not None else _default_budget()
     system = _load_system(args.system)
     state = _state_id(system, args.state)
     text = _read_text(args.certificate)
@@ -261,7 +262,7 @@ def _cmd_check(args) -> int:
         raise CliError(f"--certificate {args.certificate}: {exc}")
     if "" not in certificate.tree.labels and "" not in certificate.grafts:
         raise CliError(f"--certificate {args.certificate}: no root node")
-    ok, reason = check_certificate_report(system, certificate, Config(state, args.n))
+    ok, reason = check_certificate_report(system, certificate, Config(state, args.n), Budget(budget))
     if not ok:
         print(reason, file=sys.stderr)
     print("YES" if ok else "NO")
@@ -416,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--n", type=_nat, required=True)
+    p.add_argument("--budget", type=_nat, help="table entry budget (default env BVASS1_BUDGET)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("export-dot", help="render a tree or certificate file as DOT")

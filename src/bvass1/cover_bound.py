@@ -83,12 +83,15 @@ class Witness:
     n_values: tuple[int, ...]
 
 
-def check_unbounded_witness(system: Bvass1, state: int, witness: Witness) -> tuple[bool, str]:
+def check_unbounded_witness(
+    system: Bvass1, state: int, witness: Witness, budget: Budget | None = None
+) -> tuple[bool, str]:
     """Verify every clause of a witness from scratch.
 
     Checks the walk shape, the first-occurrence condition, coverability
     of every transition target at zero, the side values against fresh
-    coverability queries, and the positive-gain sum.
+    coverability queries, and the positive-gain sum.  The coverability
+    tables are charged to ``budget`` when one is given.
     """
     states, trans = witness.states, witness.transitions
     k = len(trans)
@@ -134,7 +137,7 @@ def check_unbounded_witness(system: Bvass1, state: int, witness: Witness) -> tup
             return False, "re-entered state already occurs before the recorded index"
 
     # plain modulus-1 questions; the targets at 0 share one table
-    cover = ResidueCache(system)
+    cover = ResidueCache(system, budget)
     side_targets = sorted({p for ref in trans for p in targets(ref)})
     for p in side_targets:
         if not cover.query(p, 0, 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Z_VALUES = (-1, 0, 1)
 
@@ -42,19 +42,16 @@ class SemanticError(ValueError):
     """Well-formed text with inconsistent content (unknown state, duplicate, ...)."""
 
 
-@dataclass(frozen=True)
-class UnaryTransition:
+class UnaryTransition(NamedTuple):
+    """source -> target, with the child's counter the parent's plus delta;
+    ``Bvass1`` checks delta against Z_VALUES."""
+
     source: int
     delta: int
     target: int
 
-    def __post_init__(self):
-        if self.delta not in Z_VALUES:
-            raise ValueError(f"unary shift must be -1, 0 or +1, got {self.delta}")
 
-
-@dataclass(frozen=True)
-class BranchTransition:
+class BranchTransition(NamedTuple):
     source: int
     left: int
     right: int
@@ -95,6 +92,8 @@ class Bvass1:
         for t in self.unary:
             if not (0 <= t.source < n and 0 <= t.target < n):
                 raise SemanticError(f"unary transition {t} references an unknown state")
+            if t.delta not in Z_VALUES:
+                raise SemanticError(f"unary transition {t} has shift {t.delta}, not -1, 0 or +1")
         for t in self.branching:
             if not (0 <= t.source < n and 0 <= t.left < n and 0 <= t.right < n):
                 raise SemanticError(f"branching transition {t} references an unknown state")
@@ -215,56 +214,53 @@ def parse_bvass(text: str) -> Bvass1:
     unary: list[UnaryTransition] = []
     branching: list[BranchTransition] = []
     finals: set[int] = set()
-
-    def resolve(token: str, line_no: int) -> int:
-        if token not in ids:
-            raise SemanticError(f"line {line_no}: unknown state {token!r}")
-        return ids[token]
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        pos = 0
-        while pos < len(tokens):
-            word = tokens[pos]
-            if word == "state":
-                if pos + 1 >= len(tokens):
-                    raise FormatError(line_no, "state needs a name")
-                name = tokens[pos + 1]
-                if name in RESERVED_WORDS:
-                    raise SemanticError(f"line {line_no}: {name!r} is a reserved word")
-                if name in ids:
-                    raise SemanticError(f"line {line_no}: duplicate state {name!r}")
-                ids[name] = len(names)
-                names.append(name)
-                pos += 2
-            elif word == "final":
-                if pos + 1 >= len(tokens):
-                    raise FormatError(line_no, "final needs a state name")
-                finals.add(resolve(tokens[pos + 1], line_no))
-                pos += 2
-            elif word == "unary":
-                if pos + 3 >= len(tokens):
-                    raise FormatError(line_no, "unary needs <src> <z> <tgt>")
-                src, z_tok, tgt = tokens[pos + 1 : pos + 4]
-                try:
-                    z = int(z_tok)
-                except ValueError:
-                    raise FormatError(line_no, f"bad counter shift {z_tok!r}") from None
-                if z not in Z_VALUES:
-                    raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
-                unary.append(UnaryTransition(resolve(src, line_no), z, resolve(tgt, line_no)))
-                pos += 4
-            elif word == "branch":
-                if pos + 3 >= len(tokens):
-                    raise FormatError(line_no, "branch needs <src> <left> <right>")
-                src, left, right = tokens[pos + 1 : pos + 4]
-                branching.append(
-                    BranchTransition(resolve(src, line_no), resolve(left, line_no), resolve(right, line_no))
-                )
-                pos += 4
-            else:
-                raise FormatError(line_no, f"unknown directive {word!r}")
+    line_no = 0
+    try:
+        # state names resolve through ids[...]; a KeyError names an unknown one
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.partition("#")[0].split()
+            ntok = len(tokens)
+            pos = 0
+            while pos < ntok:
+                word = tokens[pos]
+                if word == "unary":
+                    if pos + 3 >= ntok:
+                        raise FormatError(line_no, "unary needs <src> <z> <tgt>")
+                    src, z_tok, tgt = tokens[pos + 1 : pos + 4]
+                    try:
+                        z = int(z_tok)
+                    except ValueError:
+                        raise FormatError(line_no, f"bad counter shift {z_tok!r}") from None
+                    if z not in Z_VALUES:
+                        raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
+                    unary.append(UnaryTransition(ids[src], z, ids[tgt]))
+                    pos += 4
+                elif word == "branch":
+                    if pos + 3 >= ntok:
+                        raise FormatError(line_no, "branch needs <src> <left> <right>")
+                    src, left, right = tokens[pos + 1 : pos + 4]
+                    branching.append(BranchTransition(ids[src], ids[left], ids[right]))
+                    pos += 4
+                elif word == "state":
+                    if pos + 1 >= ntok:
+                        raise FormatError(line_no, "state needs a name")
+                    name = tokens[pos + 1]
+                    if name in RESERVED_WORDS:
+                        raise SemanticError(f"line {line_no}: {name!r} is a reserved word")
+                    if name in ids:
+                        raise SemanticError(f"line {line_no}: duplicate state {name!r}")
+                    ids[name] = len(names)
+                    names.append(name)
+                    pos += 2
+                elif word == "final":
+                    if pos + 1 >= ntok:
+                        raise FormatError(line_no, "final needs a state name")
+                    finals.add(ids[tokens[pos + 1]])
+                    pos += 2
+                else:
+                    raise FormatError(line_no, f"unknown directive {word!r}")
+    except KeyError as exc:
+        raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
     return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
 
 

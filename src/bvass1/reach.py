@@ -740,12 +740,15 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
     return None
 
 
-def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: Config) -> tuple[bool, str]:
+def check_certificate_report(
+    system: Bvass1, certificate: Certificate, claimed: Config, budget: Budget | None = None
+) -> tuple[bool, str]:
     """Validate a certificate from scratch; names the first failed clause.
 
     Shares only the model validators and the residue decision with the
     engine; in particular every pump's residue query is re-decided here,
-    through one residue cache of the checker's own.  The defs and grafts
+    through one residue cache of the checker's own, whose tables are
+    charged to ``budget`` when one is given.  The defs and grafts
     are checked first, each once; then the tree, whose graft leaves count
     as derived, and the pumps.
     """
@@ -793,7 +796,7 @@ def check_certificate_report(system: Bvass1, certificate: Certificate, claimed: 
             return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
     if not exclusive:
         return False, "pumping segments are not exclusive"
-    residues = ResidueCache(system)
+    residues = ResidueCache(system, budget)
     for leaf, rec in sorted(pumps.items()):
         cfg = tree.labels[leaf]
         if not residues.query(cfg.state, cfg.counter, rec.modulus):

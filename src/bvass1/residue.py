@@ -11,7 +11,10 @@ for everything above:
 - X: R joined with the residues of S-values in [n0, cap].
 
 X then contains (q, n mod d) exactly for the reachable n >= n0, which
-answers the query by one membership test.
+answers the query by one membership test.  S is read first: a value of
+q in S within [n0, cap] and congruent to n0 is already a witness, and a
+query that S answers never builds R0, R or X (a table builds them on
+first read).
 
 Value sets are packed into Python integers, one bit per counter value
 (or per residue class); the fixpoints are semi-naive worklists over
@@ -20,8 +23,8 @@ kernel, which the reach engine (its reach rules under the bound B) and
 certificate expansion (the witness for each pumped leaf) run as well.
 Those two keep an ``EventLog``, one (tick, rule, bits) entry per add
 event, to replay a derivation, as the reach engine's path tables do;
-the residue tables never replay and log nothing.  The kernel and
-``_sup_bounds`` apply the system's rules through its one
+the residue tables never replay and log nothing.  The kernel, R's
+fixpoint and ``_sup_bounds`` apply the system's rules through its one
 ``Bvass1.rule_index``.  Every sumset, of counter values and of residues
 alike, goes through ``_sumset``.
 """
@@ -82,48 +85,60 @@ class ResidueQuery:
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """All sets computed for one residue query, bit-packed per state.
+    """The sets of one residue query, bit-packed per state.
 
     ``s_masks[q]`` has bit m set iff q(m) has a cap-bounded derivation;
-    the residue masks have bit r set for residue class r modulo d.
+    the residue masks have bit r set for residue class r modulo d.  Only
+    S is built with the table: R0, R, X and the round count of R's
+    fixpoint are built on first read, which a query that S answers never
+    makes.
     """
 
     query: ResidueQuery
     big_n: int
     cap: int
     s_masks: tuple[int, ...]
-    r0_masks: tuple[int, ...]
-    r_masks: tuple[int, ...]
-    x_masks: tuple[int, ...]
-    iterations: int
 
     @cached_property
-    def S(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_mask_pairs(self.s_masks))
+    def r0_masks(self) -> tuple[int, ...]:
+        return tuple(_r0_value_masks(self.query.system, self.s_masks, self.cap, self.query.d))
 
     @cached_property
-    def R0(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_mask_pairs(self.r0_masks))
+    def _closure(self) -> tuple[tuple[int, ...], int]:
+        d = self.query.d
+        s_mod = [_fold_mod(m, d) for m in self.s_masks]
+        r, iterations = _r_fixpoint(self.query.system, s_mod, self.r0_masks, d)
+        return tuple(r), iterations
+
+    @property
+    def r_masks(self) -> tuple[int, ...]:
+        return self._closure[0]
+
+    @property
+    def iterations(self) -> int:
+        return self._closure[1]
 
     @cached_property
-    def R(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_mask_pairs(self.r_masks))
+    def x_masks(self) -> tuple[int, ...]:
+        d, n0, cap = self.query.d, self.query.n0, self.cap
+        window = ((1 << (cap - n0 + 1)) - 1) << n0  # values n0..cap
+        return tuple(r | _fold_mod(s & window, d) for r, s in zip(self.r_masks, self.s_masks))
 
-    @cached_property
-    def X(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_mask_pairs(self.x_masks))
+    def answers(self, state: int, n0: int) -> bool:
+        """Is state(n) reachable for some n >= n0 with n ≡ n0 (mod d)?
+
+        Valid for n0 in [W, W + d) with W the query's n0: a witness in
+        [W, n0) congruent to n0 would lie less than d below it.  S is
+        read first, for a witness in [n0, cap]; X only when it has none.
+        """
+        d = self.query.d
+        if _fold_mod(self.s_masks[state] >> n0, d) & 1:
+            return True
+        return bool((self.x_masks[state] >> (n0 % d)) & 1)
 
     @property
     def holds(self) -> bool:
-        return bool((self.x_masks[self.query.start_state] >> (self.query.n0 % self.query.d)) & 1)
-
-
-def _mask_pairs(masks):
-    for q, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            yield (q, low.bit_length() - 1)
-            mask ^= low
+        return self.answers(self.query.start_state, self.query.n0)
 
 
 def _sumset(a: int, b: int) -> int:
@@ -293,7 +308,7 @@ class BoundedReach(EventLog):
             step(queue.popleft())
 
 
-def _r0_value_masks(system: Bvass1, s_masks: list[int], cap: int, d: int) -> list[int]:
+def _r0_value_masks(system: Bvass1, s_masks: tuple[int, ...], cap: int, d: int) -> list[int]:
     """Residues of root values >= cap with the root step landing inside S.
 
     A +1 root step cannot apply (its child would exceed cap); a -1 step
@@ -318,11 +333,20 @@ def _r0_value_masks(system: Bvass1, s_masks: list[int], cap: int, d: int) -> lis
 
 
 def _r_fixpoint(
-    system: Bvass1, s_mod: list[int], r0: list[int], d: int
+    system: Bvass1, s_mod: list[int], r0: tuple[int, ...], d: int
 ) -> tuple[list[int], int]:
-    """Close R0 upward through the transitions modulo d; counts rounds."""
+    """Close R0 upward through the transitions modulo d; counts rounds.
+
+    Jacobi rounds: each evaluates its rules on the masks the round
+    started from.  A rule whose premises did not change in the last round
+    would add nothing new, so a round evaluates only the rules with a
+    changed premise (in the first, a nonempty one).
+    """
     nq = system.num_states
+    up, by_left, by_right, _ = system.rule_index
+    branching = system.branching
     r = list(r0)
+    changed = [q for q in range(nq) if r[q]]
     iterations = 0
     while True:
         # every evaluation pass counts, including the stabilizing one; a
@@ -330,19 +354,23 @@ def _r_fixpoint(
         # count never exceeds |Q|*d
         iterations += 1
         new = [0] * nq
-        for t in system.unary:
-            # parent residue = child residue - z (mod d)
-            new[t.source] |= _fold_mod(r[t.target], d, base=-t.delta)
-        for t in system.branching:
+        branches = set()
+        for p in changed:
+            for (src, z, _) in up[p]:
+                # parent residue = child residue - z (mod d)
+                new[src] |= _fold_mod(r[p], d, base=-z)
+            branches.update(rule[1] for (_, _, rule) in by_left[p])
+            branches.update(rule[1] for (_, _, rule) in by_right[p])
+        for i in branches:
+            t = branching[i]
             rl, rr = r[t.left], r[t.right]
-            new[t.source] |= _fold_mod(_sumset(rl, s_mod[t.right] | rr), d)
-            new[t.source] |= _fold_mod(_sumset(s_mod[t.left], rr), d)
-        changed = False
+            new[t.source] |= _fold_mod(_sumset(rl, s_mod[t.right] | rr) | _sumset(s_mod[t.left], rr), d)
+        changed = []
         for q in range(nq):
             extra = new[q] & ~r[q]
             if extra:
                 r[q] |= extra
-                changed = True
+                changed.append(q)
         if not changed:
             break
     big_n = nq * d
@@ -351,29 +379,17 @@ def _r_fixpoint(
 
 
 def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueTable:
-    """Run the full pipeline S -> R0 -> R -> X for one query."""
+    """Build S for one query; R0, R and X follow on first read.
+
+    The budget is charged up front for every set the table may build.
+    """
     system = query.system
-    d, n0, cap = query.d, query.n0, query.cap
+    d, cap = query.d, query.cap
     if budget is not None:
         budget.charge(system.num_states * (3 * d + cap + 1))
     bounded = BoundedReach(system, cap)
     bounded.run()
-    s_masks = bounded.masks
-    s_mod = [_fold_mod(m, d) for m in s_masks]
-    r0 = _r0_value_masks(system, s_masks, cap, d)
-    r, iterations = _r_fixpoint(system, s_mod, r0, d)
-    window = ((1 << (cap - n0 + 1)) - 1) << n0  # values n0..cap
-    x = [r[q] | _fold_mod(s_masks[q] & window, d) for q in range(system.num_states)]
-    return ResidueTable(
-        query=query,
-        big_n=query.big_n,
-        cap=cap,
-        s_masks=tuple(s_masks),
-        r0_masks=tuple(r0),
-        r_masks=tuple(r),
-        x_masks=tuple(x),
-        iterations=iterations,
-    )
+    return ResidueTable(query=query, big_n=query.big_n, cap=cap, s_masks=tuple(bounded.masks))
 
 
 def residue_reachable(query: ResidueQuery, budget: Budget | None = None) -> tuple[bool, ResidueTable]:
@@ -438,8 +454,8 @@ def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
 class ResidueCache:
     """Shares residue tables across queries with the same modulus.
 
-    The answer for (q, n0, d) only reads X from the table computed at
-    the window base W = d * floor(n0 / d): a witness l >= W with
+    The answer for (q, n0, d) is read from the table computed at the
+    window base W = d * floor(n0 / d): a witness l >= W with
     l ≡ n0 (mod d) below n0 would satisfy 0 < n0 - l < d with d | n0 - l,
     which is impossible, so the witnesses of the two queries coincide.
     Keying tables by (d, W) collapses the probe storm the reachability
@@ -449,17 +465,15 @@ class ResidueCache:
     def __init__(self, system: Bvass1, budget: Budget | None = None):
         self.system = system
         self.budget = budget
-        self._tables: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._tables: dict[tuple[int, int], ResidueTable] = {}
 
     def query(self, state: int, n0: int, d: int) -> bool:
         window = (n0 // d) * d
         key = (d, window)
-        x = self._tables.get(key)
-        if x is None:
-            table = compute_table(ResidueQuery(self.system, state, window, d), self.budget)
-            x = table.x_masks
-            self._tables[key] = x
-        return bool((x[state] >> (n0 % d)) & 1)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = compute_table(ResidueQuery(self.system, state, window, d), self.budget)
+        return table.answers(state, n0)
 
     def max_coverable(self, clamp: int) -> list[int]:
         """Per state, the largest n <= clamp with some q(m), m >= n, reachable.

@@ -389,6 +389,36 @@ def delta_branch(
     return out
 
 
+def naive_r_rounds(
+    system: Bvass1, s: frozenset[tuple[int, int]], r0: frozenset[tuple[int, int]], d: int
+) -> tuple[frozenset[tuple[int, int]], int]:
+    """R and its round count by Jacobi rounds that apply every rule.
+
+    The reference for ``residue._r_fixpoint``, which re-applies only the
+    rules with a premise that changed; the stabilizing round counts.
+    """
+    s_mod = {(q, m % d) for (q, m) in s}
+    r = set(r0)
+    rounds = 0
+    while True:
+        rounds += 1
+        grown = r | delta_unary(system, r, d) | delta_branch(system, r, s_mod | r, d) | delta_branch(system, s_mod, r, d)
+        if grown == r:
+            return frozenset(r), rounds
+        r = grown
+
+
+def mask_pairs(masks) -> frozenset[tuple[int, int]]:
+    """{(q, m) : bit m of masks[q]}: a residue table's S, R0, R or X as a set."""
+    out = set()
+    for q, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            out.add((q, low.bit_length() - 1))
+            mask ^= low
+    return frozenset(out)
+
+
 def compute_R0(query: ResidueQuery, s: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Literal root-step enumeration over an explicit S set."""
     system, cap, d = query.system, query.cap, query.d

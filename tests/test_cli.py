@@ -257,6 +257,23 @@ def test_check_accepts_pumped_spine_with_graft(tmp_path, capsys):
     assert main(["check", "--system", str(system), "--certificate", str(cert), "--state", "s", "--n", "0"]) == 0
 
 
+def test_check_huge_counter_is_a_budget_refusal(tmp_path, monkeypatch, capsys):
+    # the pump's residue table at 10^20 is charged before its masks exist
+    system = tmp_path / "up.bvass"
+    system.write_text("state q\nfinal q\nunary q +1 q\n")
+    cert = tmp_path / "huge.cert"
+    cert.write_text(f"e q {10**20}\n0 q {10**20 + 1}\npump 0 e 1\n")
+    args = ["check", "--system", str(system), "--certificate", str(cert), "--state", "q", "--n", str(10**20)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" in captured.err
+    assert main(args + ["--budget", "10"]) == 2
+    assert "needs more than 10 table entries" in capsys.readouterr().err
+    monkeypatch.setenv("BVASS1_BUDGET", "plenty")
+    assert main(args) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_check_rejects_empty_certificate(b2_file, tmp_path, capsys):
     cert = tmp_path / "empty.cert"
     cert.write_text("")

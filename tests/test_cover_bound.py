@@ -16,6 +16,7 @@ from bvass1.oracle import (
     UNBOUNDED_PROVEN,
     oracle_unbounded_hint,
 )
+from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 
@@ -192,6 +193,16 @@ def _loop_witness(system) -> Witness:
 def test_checker_accepts_handmade_loop_witness():
     system = loop_gadget()
     assert check_unbounded_witness(system, system.state_id("a"), _loop_witness(system))[0]
+
+
+def test_checker_charges_its_budget():
+    system = loop_gadget()
+    a = system.state_id("a")
+    budget = Budget(None)
+    assert check_unbounded_witness(system, a, _loop_witness(system), budget) == (True, "ok")
+    assert budget.used == system.num_states * (3 + system.num_states + 1)  # one table, at 0
+    with pytest.raises(BudgetExceeded):
+        check_unbounded_witness(system, a, _loop_witness(system), Budget(5))
 
 
 def test_checker_rejects_bad_shapes():

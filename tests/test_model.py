@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from bvass1.gen import gen_doubling, gen_random, gen_subset_sum
 from bvass1.model import (
+    Bvass1,
     Config,
     FormatError,
     PartialTree,
     SemanticError,
+    UnaryTransition,
     classify_nodes,
     format_bvass,
     is_exclusive,
@@ -79,10 +81,18 @@ def test_parse_rejects_reserved_word_as_name():
 
 
 def test_parse_rejects_bad_shift():
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match="line 2"):
         parse_bvass("state a\nunary a 2 a\n")
     with pytest.raises(FormatError):
         parse_bvass("state a\nunary a x a\n")
+
+
+def test_system_rejects_bad_shift():
+    # a transition is a plain tuple; the system it joins checks the shift
+    bad = UnaryTransition(0, 2, 0)
+    assert bad.delta == 2
+    with pytest.raises(SemanticError, match="shift 2"):
+        Bvass1(("a",), (bad,), (), frozenset())
 
 
 def test_parse_rejects_unknown_directive():

@@ -29,7 +29,7 @@ from bvass1.reach import (
     run_batch,
     run_query,
 )
-from bvass1.residue import BudgetExceeded
+from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 
@@ -281,6 +281,11 @@ def test_checker_shares_residue_tables_across_pumps(monkeypatch):
     monkeypatch.setattr(residue, "compute_table", counting)
     assert check_certificate_report(system, cert, Config(s, 0)) == (True, "ok")
     assert built == [(1, 1)]
+    budget = Budget(None)
+    assert check_certificate_report(system, cert, Config(s, 0), budget) == (True, "ok")
+    assert budget.used == system.num_states * (3 + 1 + system.num_states + 1)  # the table at 1
+    with pytest.raises(BudgetExceeded):
+        check_certificate_report(system, cert, Config(s, 0), Budget(5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Residue reachability: bounded set, root seeds, fixpoint, window cache."""
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvass1.gen import gen_random
+from bvass1.gen import (
+    gen_binary_constant,
+    gen_doubling,
+    gen_mcvp,
+    gen_random,
+    gen_random_circuit,
+    gen_subset_sum,
+)
 from bvass1.model import parse_bvass
 from bvass1.oracle import bounded_reach_set, oracle_residue
 from bvass1.reach import _witness_value_scan
@@ -19,7 +28,16 @@ from bvass1.residue import (
 
 import pytest
 
-from helpers import b2, compute_R0, delta_branch, delta_unary, loop_gadget
+from helpers import (
+    b2,
+    compute_R0,
+    delta_branch,
+    delta_unary,
+    loop_gadget,
+    mask_pairs,
+    naive_r_rounds,
+    random_instances,
+)
 
 
 def _q(system, name, n0, d) -> ResidueQuery:
@@ -36,23 +54,23 @@ def test_bounded_set_exact():
     ids = {name: system.state_id(name) for name in system.state_names}
     expected = {(ids["q_f"], 0), (ids["q_0"], 1), (ids["q_1"], 2), (ids["q_2"], 4)}
     expected |= {(ids["q"], m) for m in range(5)}
-    assert table.S == expected
+    assert mask_pairs(table.s_masks) == expected
     assert table.cap == 5 and table.big_n == 5
 
 
 def test_root_seed_empty_on_doubling():
     system = b2()
     table = compute_table(_q(system, "q", 0, 1))
-    assert table.R0 == frozenset()
-    assert (system.state_id("q_2"), 0) not in table.R0
-    assert table.R == frozenset()
+    assert mask_pairs(table.r0_masks) == frozenset()
+    assert (system.state_id("q_2"), 0) not in mask_pairs(table.r0_masks)
+    assert mask_pairs(table.r_masks) == frozenset()
     assert table.iterations == 1
 
 
 def test_combined_set_is_every_state_at_residue_zero():
     system = b2()
     table = compute_table(_q(system, "q", 0, 1))
-    assert table.X == {(q, 0) for q in range(system.num_states)}
+    assert mask_pairs(table.x_masks) == {(q, 0) for q in range(system.num_states)}
     assert table.holds
 
 
@@ -61,7 +79,7 @@ def test_self_incrementing_state_has_no_root_seed():
     system = parse_bvass("state f\nfinal f\nunary f +1 f\n")
     for n0, d in [(0, 1), (3, 2), (1, 4)]:
         table = compute_table(ResidueQuery(system, 0, n0, d))
-        assert table.R0 == frozenset()
+        assert mask_pairs(table.r0_masks) == frozenset()
         assert table.iterations == 1
 
 
@@ -69,8 +87,8 @@ def test_loop_root_seed_and_answer():
     system = loop_gadget()
     a, f = system.state_id("a"), system.state_id("f")
     table = compute_table(_q(system, "a", 0, 1))
-    assert (a, 0) in table.R0
-    assert table.X == {(a, 0), (f, 0)}
+    assert (a, 0) in mask_pairs(table.r0_masks)
+    assert mask_pairs(table.x_masks) == {(a, 0), (f, 0)}
     assert table.holds
 
 
@@ -158,18 +176,13 @@ def test_pipeline_matches_literal_sets(num_states, num_unary, num_branching, see
     system = gen_random(num_states, num_unary, num_branching, 1, seed)
     query = ResidueQuery(system, 0, n0, d)
     table = compute_table(query)
-    assert table.R0 == compute_R0(query, table.S)
-    s_mod = {(q, m % d) for (q, m) in table.S}
-    r = set(table.R0)
-    while True:
-        grown = r | delta_unary(system, r, d) | delta_branch(system, r, s_mod | r, d) | delta_branch(system, s_mod, r, d)
-        if grown == r:
-            break
-        r = grown
-    assert table.R == r
-    assert table.R0 <= table.R <= table.X
+    s, r0 = mask_pairs(table.s_masks), mask_pairs(table.r0_masks)
+    assert r0 == compute_R0(query, s)
+    r = mask_pairs(table.r_masks)
+    assert (r, table.iterations) == naive_r_rounds(system, s, r0, d)
+    assert r0 <= r <= mask_pairs(table.x_masks)
     assert 1 <= table.iterations <= table.big_n
-    if not table.R0:
+    if not r0:
         assert table.iterations == 1
 
 
@@ -178,7 +191,7 @@ def test_bounded_set_matches_oracle():
         system = gen_random(1 + seed % 4, 2 + seed % 5, seed % 3, 1, seed)
         query = ResidueQuery(system, 0, seed % 4, 1 + seed % 3)
         table = compute_table(query)
-        assert table.S == bounded_reach_set(system, query.cap).reachable
+        assert mask_pairs(table.s_masks) == bounded_reach_set(system, query.cap).reachable
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +252,57 @@ def test_cache_matches_fresh_on_random_systems(seed, n0, d, state):
     cache = ResidueCache(system)
     fresh = residue_reachable(ResidueQuery(system, state, n0, d))[0]
     assert cache.query(state, n0, d) == fresh
+
+
+# ---------------------------------------------------------------------------
+# S-first answers against the full X reading
+
+
+def _gen_family_systems():
+    yield gen_doubling(5)
+    yield gen_binary_constant(100)[0]
+    yield gen_mcvp(gen_random_circuit(5, 12))[0]
+    yield gen_subset_sum([3, 5, 7], 12)[0]
+    yield gen_random(8, 14, 5, 2, 1)
+
+
+def _x_reading(table, state: int, n0: int) -> bool:
+    return bool((table.x_masks[state] >> (n0 % table.query.d)) & 1)
+
+
+def test_answers_equal_the_full_x_reading():
+    rng = random.Random(10)
+    beyond_s = 0  # YES answers with no witness in S, read from X
+    systems = [(system, 2) for system in random_instances()] + [(system, 40) for system in _gen_family_systems()]
+    for system, draws in systems:
+        nq = system.num_states
+        for _ in range(draws):
+            state, n0, d = rng.randrange(nq), rng.randrange(2 * nq + 3), rng.randint(1, 4)
+            budget = Budget(None)
+            table = compute_table(ResidueQuery(system, state, n0, d), budget)
+            assert budget.used == nq * (3 * d + table.cap + 1)
+            answer = table.holds
+            from_s = "x_masks" not in vars(table)
+            assert answer == _x_reading(table, state, n0)
+            beyond_s += answer and not from_s
+            s, r0 = mask_pairs(table.s_masks), mask_pairs(table.r0_masks)
+            assert (mask_pairs(table.r_masks), table.iterations) == naive_r_rounds(system, s, r0, d)
+            assert budget.used == nq * (3 * d + table.cap + 1)  # building R and X charges nothing more
+            # a cache table at window W answers every n0 in [W, W + d)
+            cache = ResidueCache(system)
+            window = n0 - n0 % d
+            for m in range(window, window + d):
+                for q in range(nq):
+                    answer = cache.query(q, m, d)
+                    assert answer == _x_reading(cache._tables[(d, window)], q, m), (system, q, m, d)
+    assert beyond_s >= 5
+
+
+def test_s_answered_query_leaves_r_unbuilt():
+    system = b2()
+    yes = compute_table(_q(system, "q", 1, 2))  # q(1) lies in S
+    assert yes.holds
+    assert not {"r0_masks", "_closure", "x_masks"} & set(vars(yes))
+    no = compute_table(_q(system, "q_2", 5, 1))  # q_2 reaches only 4
+    assert not no.holds
+    assert {"r0_masks", "_closure", "x_masks"} <= set(vars(no))
