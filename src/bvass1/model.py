@@ -128,20 +128,18 @@ class Bvass1:
         by premise state p in transition order: ``up[p]`` lists (source, shift,
         rule) for the unary transitions into p, ``by_left[p]`` and ``by_right[p]``
         (source, sibling, rule) for the branching ones with p as left resp.
-        right child, and ``loops[p]`` holds p's +1 and -1 self-loop rules or None."""
-        nq = self.num_states
-        up: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        by_left: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        by_right: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nq)]
-        loops: list[list[Optional[tuple]]] = [[None, None] for _ in range(nq)]
-        for i, t in enumerate(self.unary):
-            up[t.target].append((t.source, t.delta, ("unary", i)))
-            if t.source == t.target and t.delta:
-                loops[t.source][t.delta < 0] = ("unary", i)
-        for i, t in enumerate(self.branching):
-            by_left[t.left].append((t.source, t.right, ("branch", i)))
-            by_right[t.right].append((t.source, t.left, ("branch", i)))
-        return tuple(tuple(map(tuple, rows)) for rows in (up, by_left, by_right, loops))
+        right child, and ``loops[p]`` holds p's +1 and -1 self-loop rules or None.
+
+        Built on first read; ``parse_bvass`` fills it while it reads the
+        transitions, through the same ``_RuleIndex``."""
+        index = _RuleIndex()
+        for _ in self.state_names:
+            index.add_state()
+        for i, (src, z, tgt) in enumerate(self.unary):
+            index.add_unary(i, src, z, tgt)
+        for i, (src, left, right) in enumerate(self.branching):
+            index.add_branch(i, src, left, right)
+        return index.freeze()
 
     @cached_property
     def branch_pairs_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:
@@ -173,6 +171,40 @@ class Bvass1:
         return tuple(map(frozenset, succ)), tuple(map(frozenset, pred))
 
 
+class _RuleIndex:
+    """``Bvass1.rule_index`` under construction: the one place that says how
+    a transition enters it.  States are added in id order, each before the
+    transitions that name it."""
+
+    __slots__ = ("up", "by_left", "by_right", "loops")
+
+    def __init__(self):
+        self.up: list[list[tuple]] = []
+        self.by_left: list[list[tuple]] = []
+        self.by_right: list[list[tuple]] = []
+        self.loops: list[list[Optional[tuple]]] = []
+
+    def add_state(self) -> None:
+        self.up.append([])
+        self.by_left.append([])
+        self.by_right.append([])
+        self.loops.append([None, None])
+
+    def add_unary(self, i: int, src: int, z: int, tgt: int) -> None:
+        rule = ("unary", i)
+        self.up[tgt].append((src, z, rule))
+        if src == tgt and z:
+            self.loops[src][z < 0] = rule
+
+    def add_branch(self, i: int, src: int, left: int, right: int) -> None:
+        rule = ("branch", i)
+        self.by_left[left].append((src, right, rule))
+        self.by_right[right].append((src, left, rule))
+
+    def freeze(self) -> tuple[tuple[tuple, ...], ...]:
+        return tuple(tuple(map(tuple, rows)) for rows in (self.up, self.by_left, self.by_right, self.loops))
+
+
 def validate_bvass(system: Bvass1) -> list[str]:
     """Structural problems of a system; empty list means well formed.
 
@@ -201,24 +233,35 @@ def validate_bvass(system: Bvass1) -> list[str]:
 # system text format
 
 
+# shift tokens as ``format_bvass`` writes them; any other token goes through int()
+_SHIFT_TOKENS = {"-1": -1, "0": 0, "+1": 1, "1": 1}
+
+
 def parse_bvass(text: str) -> Bvass1:
     """Parse the line-oriented system format.
 
     Directives are ``state <name>``, ``final <name>``,
     ``unary <src> <z> <tgt>`` and ``branch <src> <left> <right>``;
-    ``#`` starts a comment.  Several directives may share a line.  States
-    must be declared before use; declaration order fixes their ids.
+    ``#`` starts a comment.  Several directives may share a line; none
+    spans lines.  States must be declared before use; declaration order
+    fixes their ids.  The system comes with its name index and its
+    ``rule_index`` already filled, as the transitions were read.
     """
     names: list[str] = []
     ids: dict[str, int] = {}
     unary: list[UnaryTransition] = []
     branching: list[BranchTransition] = []
     finals: set[int] = set()
+    index = _RuleIndex()
+    add_state, add_unary, add_branch = index.add_state, index.add_unary, index.add_branch
+    new = tuple.__new__  # a transition without NamedTuple.__new__'s call
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
     line_no = 0
     try:
         # state names resolve through ids[...]; a KeyError names an unknown one
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.partition("#")[0].split()
+        for line_no, tokens in enumerate(map(str.split, lines), start=1):
             ntok = len(tokens)
             pos = 0
             while pos < ntok:
@@ -227,19 +270,25 @@ def parse_bvass(text: str) -> Bvass1:
                     if pos + 3 >= ntok:
                         raise FormatError(line_no, "unary needs <src> <z> <tgt>")
                     src, z_tok, tgt = tokens[pos + 1 : pos + 4]
-                    try:
-                        z = int(z_tok)
-                    except ValueError:
-                        raise FormatError(line_no, f"bad counter shift {z_tok!r}") from None
-                    if z not in Z_VALUES:
-                        raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
-                    unary.append(UnaryTransition(ids[src], z, ids[tgt]))
+                    z = _SHIFT_TOKENS.get(z_tok)
+                    if z is None:
+                        try:
+                            z = int(z_tok)
+                        except ValueError:
+                            raise FormatError(line_no, f"bad counter shift {z_tok!r}") from None
+                        if z not in Z_VALUES:
+                            raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
+                    s, t = ids[src], ids[tgt]
+                    add_unary(len(unary), s, z, t)
+                    unary.append(new(UnaryTransition, (s, z, t)))
                     pos += 4
                 elif word == "branch":
                     if pos + 3 >= ntok:
                         raise FormatError(line_no, "branch needs <src> <left> <right>")
                     src, left, right = tokens[pos + 1 : pos + 4]
-                    branching.append(BranchTransition(ids[src], ids[left], ids[right]))
+                    s, a, b = ids[src], ids[left], ids[right]
+                    add_branch(len(branching), s, a, b)
+                    branching.append(new(BranchTransition, (s, a, b)))
                     pos += 4
                 elif word == "state":
                     if pos + 1 >= ntok:
@@ -251,6 +300,7 @@ def parse_bvass(text: str) -> Bvass1:
                         raise SemanticError(f"line {line_no}: duplicate state {name!r}")
                     ids[name] = len(names)
                     names.append(name)
+                    add_state()
                     pos += 2
                 elif word == "final":
                     if pos + 1 >= ntok:
@@ -261,7 +311,19 @@ def parse_bvass(text: str) -> Bvass1:
                     raise FormatError(line_no, f"unknown directive {word!r}")
     except KeyError as exc:
         raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
-    return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
+    # Every check of Bvass1.__post_init__ has passed above, so the fields are
+    # set directly, with the two cached properties (a cached_property keeps
+    # its value in the instance dict under its own name).
+    system = object.__new__(Bvass1)
+    system.__dict__.update(
+        state_names=tuple(names),
+        unary=tuple(unary),
+        branching=tuple(branching),
+        finals=frozenset(finals),
+        _name_index=ids,
+        rule_index=index.freeze(),
+    )
+    return system
 
 
 def format_bvass(system: Bvass1) -> str:

@@ -20,16 +20,20 @@ from .model import Bvass1
 
 @dataclass(frozen=True)
 class BoundedReachSet:
-    """Configurations with a cap-bounded derivation tree."""
+    """Configurations with a cap-bounded derivation tree, as one value set per state."""
 
     cap: int
-    reachable: frozenset[tuple[int, int]]
+    by_state: tuple[frozenset[int], ...]
 
-    def values(self, state: int) -> set[int]:
-        return {n for (q, n) in self.reachable if q == state}
+    @property
+    def reachable(self) -> frozenset[tuple[int, int]]:
+        return frozenset((q, n) for q, values in enumerate(self.by_state) for n in values)
+
+    def values(self, state: int) -> frozenset[int]:
+        return self.by_state[state]
 
     def contains(self, state: int, n: int) -> bool:
-        return (state, n) in self.reachable
+        return n in self.by_state[state]
 
 
 def bounded_reach_set(system: Bvass1, cap: int, budget: int | None = 2**30) -> BoundedReachSet:
@@ -37,34 +41,35 @@ def bounded_reach_set(system: Bvass1, cap: int, budget: int | None = 2**30) -> B
 
     Rules: (f, 0) for final f; (q, n) if a unary (q, z, p) has (p, n+z)
     present with n, n+z in [0, cap]; (q, n) if a branching (q, p, p')
-    has (p, m0) and (p', m1) present with n = m0 + m1 <= cap.
+    has (p, m0) and (p', m1) present with n = m0 + m1 <= cap.  Every pass
+    applies every rule to the whole of each state's value set.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if budget is not None and system.num_states * (cap + 1) > budget:
         raise ValueError(f"cap {cap} exceeds the memory budget")
-    present: set[tuple[int, int]] = {(f, 0) for f in system.finals}
+    present: list[set[int]] = [set() for _ in range(system.num_states)]
+    for f in system.finals:
+        present[f].add(0)
     changed = True
     while changed:
-        changed = False
+        size = sum(map(len, present))
         for t in system.unary:
-            for n in range(0, cap + 1):
-                m = n + t.delta
-                if 0 <= m <= cap and (t.target, m) in present and (t.source, n) not in present:
-                    present.add((t.source, n))
-                    changed = True
+            parents = {m - t.delta for m in present[t.target]}
+            parents.discard(-1)
+            parents.discard(cap + 1)
+            present[t.source] |= parents
         for t in system.branching:
-            left_vals = sorted(n for (q, n) in present if q == t.left)
-            right_vals = sorted(n for (q, n) in present if q == t.right)
-            for m0 in left_vals:
-                for m1 in right_vals:
-                    n = m0 + m1
-                    if n > cap:
-                        break
-                    if (t.source, n) not in present:
-                        present.add((t.source, n))
-                        changed = True
-    return BoundedReachSet(cap, frozenset(present))
+            source, left, right = present[t.source], present[t.left], present[t.right]
+            if not left or not right:
+                continue
+            if len(left) > len(right):
+                left, right = right, left
+            # n is new if some m of the smaller child set leaves n - m in the other
+            sums = range(min(left) + min(right), min(cap, max(left) + max(right)) + 1)
+            source.update([n for n in sums if n not in source and not right.isdisjoint(map(n.__sub__, left))])
+        changed = sum(map(len, present)) != size
+    return BoundedReachSet(cap, tuple(map(frozenset, present)))
 
 
 def oracle_residue(system: Bvass1, state: int, n0: int, d: int, cap: int) -> bool:
@@ -106,6 +111,6 @@ def oracle_unbounded_hint(system: Bvass1, state: int, cap: int) -> str:
         return UNBOUNDED_PROVEN
     if cap >= threshold + system.num_states:
         second = bounded_reach_set(system, 2 * cap)
-        if second.reachable == first.reachable:
+        if second.by_state == first.by_state:
             return NO_VALUE_ABOVE_THRESHOLD
     return INCONCLUSIVE

@@ -288,18 +288,35 @@ class BoundedReach(EventLog):
             self.queue.append(q)
 
     def step(self, q: int) -> int:
-        """Apply the system's rules to the bits q gained since its last step; returns them."""
+        """Apply the system's rules to the bits q gained since its last step; returns them.
+
+        A rule is applied only when it can yield a bit its source lacks: a
+        branch rule needs a source that is not full and a sibling that is not
+        empty, and ``add`` is called only with new bits.  So the add events,
+        and with them the masks, logs and ticks, are those of applying every
+        rule.
+        """
         self._queued[q] = False
         delta = self._pending[q]
         if delta:
             self._pending[q] = 0
-            masks, add = self.masks, self.add
+            masks, add, full = self.masks, self.add, self.full
             for (src, z, rule) in self.up[q]:
-                add(src, _shift_parent(delta, z), rule)
+                bits = _shift_parent(delta, z) & full & ~masks[src]
+                if bits:
+                    add(src, bits, rule)
             for (src, right, rule) in self.by_left[q]:
-                add(src, _sumset(delta, masks[right]), rule)
+                room = full & ~masks[src]
+                if room and masks[right]:
+                    bits = _sumset(delta, masks[right]) & room
+                    if bits:
+                        add(src, bits, rule)
             for (src, left, rule) in self.by_right[q]:
-                add(src, _sumset(masks[left], delta), rule)
+                room = full & ~masks[src]
+                if room and masks[left]:
+                    bits = _sumset(masks[left], delta) & room
+                    if bits:
+                        add(src, bits, rule)
         return delta
 
     def run(self) -> None:

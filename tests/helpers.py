@@ -7,10 +7,16 @@ from typing import Optional
 from bvass1.cover_bound import GainEdge, GainGraph, Witness, _bfs_paths, build_gain_graph, coverable
 from bvass1.gen import gen_random
 from bvass1.model import (
+    RESERVED_WORDS,
+    Z_VALUES,
+    BranchTransition,
     Bvass1,
     Config,
+    FormatError,
     NodeClassification,
     PartialTree,
+    SemanticError,
+    UnaryTransition,
     is_accepting,
     parse_bvass,
 )
@@ -530,3 +536,87 @@ def naive_replay(reach, contexts: list, state: int, n: int):
         for suffix, ck in children:
             spine.append((addr + suffix, ck, anchor))
     return defs, labels, grafts, pumps
+
+
+def naive_bounded_reach_set(system: Bvass1, cap: int) -> frozenset[tuple[int, int]]:
+    """The (state, value) pairs with a cap-bounded derivation, by full rescans
+    of one set of pairs: the reference for ``oracle.bounded_reach_set``."""
+    present: set[tuple[int, int]] = {(f, 0) for f in system.finals}
+    changed = True
+    while changed:
+        changed = False
+        for t in system.unary:
+            for n in range(0, cap + 1):
+                m = n + t.delta
+                if 0 <= m <= cap and (t.target, m) in present and (t.source, n) not in present:
+                    present.add((t.source, n))
+                    changed = True
+        for t in system.branching:
+            left_vals = sorted(n for (q, n) in present if q == t.left)
+            right_vals = sorted(n for (q, n) in present if q == t.right)
+            for m0 in left_vals:
+                for m1 in right_vals:
+                    n = m0 + m1
+                    if n > cap:
+                        break
+                    if (t.source, n) not in present:
+                        present.add((t.source, n))
+                        changed = True
+    return frozenset(present)
+
+
+def naive_parse_bvass(text: str) -> Bvass1:
+    """The system format read line by line, one token slice per directive:
+    the reference for ``model.parse_bvass``, errors and line numbers included."""
+    names: list[str] = []
+    ids: dict[str, int] = {}
+    unary: list[UnaryTransition] = []
+    branching: list[BranchTransition] = []
+    finals: set[int] = set()
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.partition("#")[0].split()
+            ntok = len(tokens)
+            pos = 0
+            while pos < ntok:
+                word = tokens[pos]
+                if word == "unary":
+                    if pos + 3 >= ntok:
+                        raise FormatError(line_no, "unary needs <src> <z> <tgt>")
+                    src, z_tok, tgt = tokens[pos + 1 : pos + 4]
+                    try:
+                        z = int(z_tok)
+                    except ValueError:
+                        raise FormatError(line_no, f"bad counter shift {z_tok!r}") from None
+                    if z not in Z_VALUES:
+                        raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
+                    unary.append(UnaryTransition(ids[src], z, ids[tgt]))
+                    pos += 4
+                elif word == "branch":
+                    if pos + 3 >= ntok:
+                        raise FormatError(line_no, "branch needs <src> <left> <right>")
+                    src, left, right = tokens[pos + 1 : pos + 4]
+                    branching.append(BranchTransition(ids[src], ids[left], ids[right]))
+                    pos += 4
+                elif word == "state":
+                    if pos + 1 >= ntok:
+                        raise FormatError(line_no, "state needs a name")
+                    name = tokens[pos + 1]
+                    if name in RESERVED_WORDS:
+                        raise SemanticError(f"line {line_no}: {name!r} is a reserved word")
+                    if name in ids:
+                        raise SemanticError(f"line {line_no}: duplicate state {name!r}")
+                    ids[name] = len(names)
+                    names.append(name)
+                    pos += 2
+                elif word == "final":
+                    if pos + 1 >= ntok:
+                        raise FormatError(line_no, "final needs a state name")
+                    finals.add(ids[tokens[pos + 1]])
+                    pos += 2
+                else:
+                    raise FormatError(line_no, f"unknown directive {word!r}")
+    except KeyError as exc:
+        raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
+    return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))

@@ -23,7 +23,7 @@ from bvass1.reach import (
     run_batch,
     run_query,
 )
-from bvass1.residue import BoundedReach
+from bvass1.residue import BoundedReach, _shift_parent, _sumset
 
 from helpers import loop_gadget, naive_replay, random_instances
 from test_max_coverable import _family_systems as _gen_systems
@@ -70,6 +70,33 @@ def test_kernel_matches_oracle():
             expected = bounded_reach_set(system, cap).reachable
             for justify in (False, True):
                 assert _pairs(_kernel(system, cap, justify).masks) == expected, (system, cap, justify)
+
+
+class _EveryRuleKernel(BoundedReach):
+    """The kernel with a step that applies every rule to every delta."""
+
+    def step(self, q: int) -> int:
+        self._queued[q] = False
+        delta = self._pending[q]
+        if delta:
+            self._pending[q] = 0
+            for (src, z, rule) in self.up[q]:
+                self.add(src, _shift_parent(delta, z), rule)
+            for (src, right, rule) in self.by_left[q]:
+                self.add(src, _sumset(delta, self.masks[right]), rule)
+            for (src, left, rule) in self.by_right[q]:
+                self.add(src, _sumset(self.masks[left], delta), rule)
+        return delta
+
+
+def test_live_rule_steps_keep_masks_logs_and_ticks():
+    systems = random_instances() + _family_systems()
+    for system in systems:
+        for cap in (0, 5, 17):
+            live, every = BoundedReach(system, cap, justify=True), _EveryRuleKernel(system, cap, justify=True)
+            live.run()
+            every.run()
+            assert (live.masks, live.log, live.tick) == (every.masks, every.log, every.tick), (system, cap)
 
 
 def test_both_loops_fill_every_value():

@@ -29,7 +29,7 @@ from bvass1.model import (
 
 import pytest
 
-from helpers import B2_TEXT, b2, is_ancestor, lca, loop_gadget, random_valid_tree, tree_of
+from helpers import B2_TEXT, b2, is_ancestor, lca, loop_gadget, naive_parse_bvass, random_valid_tree, tree_of
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,97 @@ def test_system_rejects_bad_shift():
     assert bad.delta == 2
     with pytest.raises(SemanticError, match="shift 2"):
         Bvass1(("a",), (bad,), (), frozenset())
+
+
+def _random_directives(rng: random.Random) -> list[list[str]]:
+    """Token lists of mostly valid directives, with a malformed one now and then."""
+    names = [f"s{i}" for i in range(rng.randint(1, 6))]
+    declared = rng.sample(names, rng.randint(1, len(names)))
+    out = [["state", name] for name in declared]
+    shifts = ["-1", "0", "+1", "1"] * 12 + ["+0", "-0", "01", "\u0661", "2", "x", "1.0"]
+
+    def name() -> str:
+        # a declared state; now and then an undeclared one or a reserved word
+        if rng.random() < 0.02:
+            return rng.choice(names + ["final", "ghost"])
+        return rng.choice(declared)
+
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.45:
+            out.append(["unary", name(), rng.choice(shifts), name()])
+        elif kind < 0.75:
+            out.append(["branch", name(), name(), name()])
+        elif kind < 0.97:
+            out.append(["final", name()])
+        else:
+            out.append(["state", rng.choice(names + ["unary", "x"])])
+    if rng.random() < 0.15:  # a malformed directive: cut short or misspelled
+        d = list(rng.choice(out))
+        if rng.random() < 0.5 and len(d) > 1:
+            d.pop()
+        else:
+            d[0] = rng.choice(["states", "Unary", "pump", "#"])
+        out.insert(rng.randrange(len(out) + 1), d)
+    return out
+
+
+def _render(rng: random.Random, directives: list[list[str]]) -> str:
+    """One text of the directives: several to a line, tabs, comments, blank
+    lines, CRLF endings, and now and then a directive split over two lines."""
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    lines: list[str] = []
+    i = 0
+    while i < len(directives):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "\t", "# unary a 0 b", "#"]))
+        group = directives[i : i + rng.choice([1, 1, 1, 2, 3])]
+        i += len(group)
+        tokens = [tok for d in group for tok in d]
+        if rng.random() < 0.03 and len(tokens) > 1:
+            cut = rng.randrange(1, len(tokens))
+            lines.append(" ".join(tokens[:cut]))
+            tokens = tokens[cut:]
+        line = rng.choice([" ", "\t", "  "]).join(tokens)
+        if rng.random() < 0.15:
+            line += rng.choice([" # note", "#branch x y z", "\t# state q"])
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        system = parse(text)
+    except (FormatError, SemanticError) as exc:
+        return type(exc), str(exc)
+    return system, system.rule_index, [system.state_id(name) for name in system.state_names]
+
+
+def test_parse_matches_the_line_by_line_reader():
+    rng = random.Random(20161)
+    kinds = set()
+    for _ in range(1500):
+        text = _render(rng, _random_directives(rng))
+        expected = _parse_outcome(naive_parse_bvass, text)
+        assert _parse_outcome(parse_bvass, text) == expected, text
+        kinds.add(expected[0] if isinstance(expected[0], type) else Bvass1)
+    assert kinds == {Bvass1, FormatError, SemanticError}
+
+
+def test_rule_index_is_built_once_and_lazily():
+    generated = gen_doubling(3)
+    assert "rule_index" not in vars(generated)  # a generated system builds it on first read
+    parsed = parse_bvass(format_bvass(generated))
+    assert "rule_index" in vars(parsed)  # the parser filled it as it read
+    assert parsed.rule_index == generated.rule_index
+    assert parsed.state_id("q_2") == generated.state_id("q_2") == 4
+
+
+def test_parse_rejects_a_directive_split_over_two_lines():
+    with pytest.raises(FormatError, match="line 1: unary needs"):
+        parse_bvass("unary a\n+1 b\n")
+    with pytest.raises(FormatError, match="line 3: branch needs"):
+        parse_bvass("state a state b\r\n# a comment\r\nbranch a b\r\nb\r\n")
 
 
 def test_parse_rejects_unknown_directive():

@@ -4,7 +4,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvass1.gen import gen_doubling, gen_random
+from bvass1.gen import (
+    gen_binary_constant,
+    gen_doubling,
+    gen_mcvp,
+    gen_random,
+    gen_random_circuit,
+    gen_subset_sum,
+)
 from bvass1.oracle import (
     INCONCLUSIVE,
     NO_VALUE_ABOVE_THRESHOLD,
@@ -17,7 +24,7 @@ from bvass1.oracle import (
 
 import pytest
 
-from helpers import b2, loop_gadget
+from helpers import b2, loop_gadget, naive_bounded_reach_set, random_instances
 
 
 def test_doubling_three_cascade_values():
@@ -109,3 +116,32 @@ def test_unbounded_hint_three_outcomes():
     b = b2()
     assert oracle_unbounded_hint(b, b.state_id("q"), cap=80) == NO_VALUE_ABOVE_THRESHOLD
     assert oracle_unbounded_hint(b, b.state_id("q"), cap=3) == INCONCLUSIVE
+
+
+def _referee_caps(system) -> list[int]:
+    """4|Q|, the cap of the benchmark's reach sets; for |Q| <= 7 also the
+    boundedness hint's caps 2^|Q|+|Q| and twice that."""
+    nq = system.num_states
+    caps = [4 * nq]
+    if nq <= 7:
+        caps += [2**nq + nq, 2 * (2**nq + nq)]
+    return caps
+
+
+def _gen_families():
+    yield from (gen_doubling(n) for n in range(4))
+    yield from (gen_binary_constant(m)[0] for m in (1, 2, 5, 6))
+    yield from (gen_mcvp(gen_random_circuit(seed, 12))[0] for seed in range(4))
+    yield gen_subset_sum([2, 3], 5)[0]
+    yield gen_subset_sum([1, 4, 6], 0)[0]
+    for seed in range(12):
+        nq = 6 + seed % 2
+        yield gen_random(nq, 3 * nq, nq, 2, seed)  # dense, as the benchmark draws them
+        yield gen_random(nq, 2 * nq, nq // 2, 1, seed)  # sparse
+
+
+def test_reach_set_matches_the_pair_rescan():
+    systems = random_instances() + list(_gen_families())
+    for system in systems:
+        for cap in _referee_caps(system):
+            assert bounded_reach_set(system, cap).reachable == naive_bounded_reach_set(system, cap), (system, cap)
