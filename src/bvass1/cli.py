@@ -138,7 +138,9 @@ class _Timer:
         return {phase: round(ms, 3) for phase, ms in self.phases.items()}
 
 
-def _emit_verdict(args, verdict: bool, problem: str, query: dict, certificate_path, timer: _Timer) -> int:
+def _emit_verdict(
+    args, verdict: bool, problem: str, query: dict, certificate_path, timer: _Timer, reason: str | None = None
+) -> int:
     if getattr(args, "json", False):
         report = {
             "verdict": "yes" if verdict else "no",
@@ -147,6 +149,8 @@ def _emit_verdict(args, verdict: bool, problem: str, query: dict, certificate_pa
             "certificatePath": certificate_path,
             "timings": timer.as_ms(),
         }
+        if reason is not None:
+            report["reason"] = reason
         print(json.dumps(report))
     else:
         print("YES" if verdict else "NO")
@@ -220,7 +224,7 @@ def _cmd_decide(args) -> int:
                         print(f"expansion failed: {exc}", file=sys.stderr)
                     else:
                         _write_text(args.certificate + ".expanded", tree_to_text(system, tree))
-        return _emit_verdict(args, verdict, "reach", query_echo, certificate_path, timer)
+        return _emit_verdict(args, verdict, "reach", query_echo, certificate_path, timer, tables.reason)
 
     if args.problem == "cover":
         n = _require(args, "--n")

@@ -20,20 +20,42 @@ from .model import Bvass1
 
 @dataclass(frozen=True)
 class BoundedReachSet:
-    """Configurations with a cap-bounded derivation tree, as one value set per state."""
+    """Configurations with a cap-bounded derivation tree, one value set per state.
+
+    Each set is kept packed, bit n of ``masks[q]`` standing for q(n): a
+    referee that keeps one reach set per system then holds one integer
+    per state rather than one frozenset.  The views unpack on request.
+    """
 
     cap: int
-    by_state: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def by_state(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(_unpack, self.masks))
 
     @property
     def reachable(self) -> frozenset[tuple[int, int]]:
-        return frozenset((q, n) for q, values in enumerate(self.by_state) for n in values)
+        return frozenset((q, n) for q, mask in enumerate(self.masks) for n in _unpack(mask))
 
     def values(self, state: int) -> frozenset[int]:
-        return self.by_state[state]
+        return _unpack(self.masks[state])
 
     def contains(self, state: int, n: int) -> bool:
-        return n in self.by_state[state]
+        return n >= 0 and bool((self.masks[state] >> n) & 1)
+
+
+def _pack(values: set[int]) -> int:
+    """The values as the set bits of one integer, in time linear in the largest."""
+    buf = bytearray(max(values, default=0) // 8 + 1)
+    for n in values:
+        buf[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(mask: int) -> frozenset[int]:
+    """The set bits of ``mask``, read off its binary digits lowest first."""
+    return frozenset(n for n, digit in enumerate(reversed(bin(mask))) if digit == "1")
 
 
 def bounded_reach_set(system: Bvass1, cap: int, budget: int | None = 2**30) -> BoundedReachSet:
@@ -69,7 +91,7 @@ def bounded_reach_set(system: Bvass1, cap: int, budget: int | None = 2**30) -> B
             sums = range(min(left) + min(right), min(cap, max(left) + max(right)) + 1)
             source.update([n for n in sums if n not in source and not right.isdisjoint(map(n.__sub__, left))])
         changed = sum(map(len, present)) != size
-    return BoundedReachSet(cap, tuple(map(frozenset, present)))
+    return BoundedReachSet(cap, tuple(map(_pack, present)))
 
 
 def oracle_residue(system: Bvass1, state: int, n0: int, d: int, cap: int) -> bool:
@@ -111,6 +133,6 @@ def oracle_unbounded_hint(system: Bvass1, state: int, cap: int) -> str:
         return UNBOUNDED_PROVEN
     if cap >= threshold + system.num_states:
         second = bounded_reach_set(system, 2 * cap)
-        if second.by_state == first.by_state:
+        if second.masks == first.masks:
             return NO_VALUE_ABOVE_THRESHOLD
     return INCONCLUSIVE

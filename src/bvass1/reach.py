@@ -36,7 +36,14 @@ leaf counters not above the state's largest coverable value.
 
 The reach masks are a ``residue.BoundedReach`` kernel under B: it
 applies the system's own rules (and saturates self-loops), and the pump
-rules add to it.  The kernel and every path table keep one event log
+rules add to it.  A query is decided kernel first.  The kernel saturates
+before any pump context exists, and a query bit it sets is a YES with a
+pump-free certificate.  Otherwise the query is NO when no state of its
+cone lies on a cycle, or when n is above the state's largest coverable
+value.  Only then are the cone's contexts activated on the same kernel,
+and the fixpoint resumes.  So a single query's tables are complete for
+that query alone; the batch pumps every cyclic state and is complete
+for all.  The kernel and every path table keep one event log
 (``residue.EventLog``): per state, one (tick, rule, bits) entry per add
 event.  All ticks come from the kernel's clock, so a rule's premises
 always carry smaller ticks than its conclusion, and a positive answer
@@ -69,6 +76,12 @@ from .residue import (
 )
 
 DEFAULT_WITNESS_CAP = 1 << 20
+
+# the step that decided a query, as ``FixpointTables.reason`` names it
+KERNEL = "kernel"
+PUMP_FIXPOINT = "pump fixpoint"
+NO_CYCLE = "no cyclic state in cone"
+ABOVE_COVERABLE = "above largest coverable value"  # followed by the value
 
 # Defensive ceiling on a replayed certificate's spine; extraction of a
 # decided query should stay far below this, so hitting it means an engine bug.
@@ -299,11 +312,20 @@ class _Context(EventLog):
 class FixpointTables:
     """Least fixpoint of the reach and path tables for one bound.
 
-    Build it through run_query or run_batch.  ``holds(q, n)`` answers
-    reachability for any n up to the construction's counter allowance.
-    The reach tables are a justified ``BoundedReach`` kernel under the
-    bound; the pump rules add to it, and its queue and clock carry the
-    path events too.
+    Build it through run_query or run_batch.  The reach tables are a
+    justified ``BoundedReach`` kernel under the bound, and it saturates
+    first, before any pump context exists.  ``pump`` then activates the
+    contexts of some states on the same kernel and resumes the fixpoint:
+    the pump rules add to the kernel, its queue and clock carry the path
+    events too, and the residue cache, budget and reach window are the
+    ones the kernel had.  The constructor pumps ``context_states`` right
+    away; run_batch passes every cyclic state there, run_query none.
+
+    ``holds(q, n)`` answers reachability for n up to ``complete_to`` when
+    every cyclic state of q's cone has been pumped, as run_batch does for
+    every q.  run_query's tables promise it for the query only.
+    ``reason`` names the step that decided: ``kernel``, ``pump
+    fixpoint``, or one of run_query's refutations.
     """
 
     def __init__(
@@ -319,8 +341,8 @@ class FixpointTables:
         self.complete_to = complete_to
         self.budget = budget
         self.residue_cache = ResidueCache(system, budget)
-        # only pump contexts read the profile
-        self.max_cover = self.residue_cache.max_coverable(bound + 1) if context_states else []
+        # the max-coverable profile at bound + 1, built by ``profile``
+        self.max_cover: list[int] = []
 
         nq = system.num_states
         # the reach masks' window, charged before they exist
@@ -329,36 +351,51 @@ class FixpointTables:
         self.contexts: list[_Context] = []
         # reach-delta watchers: state -> [(ctx, branch, p_side)]
         self._pb_watch: list[list[tuple[int, int, int]]] = [[] for _ in range(nq)]
-        self._activate_contexts(context_states)
+        self._pending_p: list[list[int]] = []
 
         # one queue for both tables: reach keys are states, path keys (ctx, state)
         self.reach = BoundedReach(system, bound, justify=True)
         self.reach_masks = self.reach.masks
-        self._pending_p: list[list[int]] = [[0] * nq for _ in self.contexts]
         self._queued: set[tuple[int, int]] = set()
+        self.reason = KERNEL
+        self._run()
+        if context_states:
+            self.pump(context_states)
 
-        for ci, ctx in enumerate(self.contexts):
-            self._add_p(ci, ctx.state, 1 << ctx.m_star, ("self",))
+    def profile(self) -> list[int]:
+        """Per state, the largest coverable value up to bound + 1 (-1: none)."""
+        if not self.max_cover:
+            self.max_cover = self.residue_cache.max_coverable(self.bound + 1)
+        return self.max_cover
+
+    def pump(self, context_states: set[int]) -> None:
+        """Activate the pump contexts of ``context_states`` and resume the fixpoint."""
+        self.reason = PUMP_FIXPOINT
+        self._activate_contexts(context_states)
         self._run()
 
     # -- setup
 
     def _activate_contexts(self, context_states: set[int]) -> None:
         system = self.system
+        nq = system.num_states
         pred = system.state_graph[1]
+        top_of = self.profile()
         for s in sorted(context_states):
             back = _closure(pred, s)
-            top = min(self.max_cover[s], self.bound)
+            top = min(top_of[s], self.bound)
             for m_star in range(1, top + 1):
-                self.budget.charge(system.num_states)
+                self.budget.charge(nq)
                 ci = len(self.contexts)
-                ctx = _Context(s, m_star, system.num_states, back)
+                ctx = _Context(s, m_star, nq, back)
                 self.contexts.append(ctx)
+                self._pending_p.append([0] * nq)
                 for i, t in enumerate(system.branching):
                     if t.left in ctx.back:
                         self._pb_watch[t.right].append((ci, i, 0))
                     if t.right in ctx.back:
                         self._pb_watch[t.left].append((ci, i, 1))
+                self._add_p(ci, s, 1 << m_star, ("self",))
 
     # -- residue probes
 
@@ -465,11 +502,36 @@ class FixpointTables:
 
 
 def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> FixpointTables:
-    """Decide one configuration; pump contexts restricted to its state cone."""
+    """Decide one configuration q(n), kernel first; pump contexts come last.
+
+    Three steps on one ``FixpointTables`` and one fixpoint:
+
+    1. the reach kernel under B saturates with no pump context; if the
+       query bit is set, that is the answer, and its certificate has no
+       pumps;
+    2. otherwise the answer is NO when no state of q's cone lies on a
+       cycle (no context could add a bit), or when n is above q's largest
+       coverable value in the profile at B + 1, the one the contexts read;
+    3. only then are the cone's contexts activated and the fixpoint
+       resumed.
+
+    ``reason`` on the tables names the step.  The tables promise ``holds``
+    for the query only: a bit of another state, or of q below n, may be
+    missing when it needs a context that was never activated.
+    """
     system = query.system
-    cone = _closure(system.state_graph[0], query.state)
-    context_states = _cyclic_states(system) & cone
-    return FixpointTables(system, query.bound, query.n, context_states, Budget(budget))
+    state, n = query.state, query.n
+    tables = FixpointTables(system, query.bound, n, set(), Budget(budget))
+    if tables.holds(state, n):
+        return tables
+    context_states = _cyclic_states(system) & _closure(system.state_graph[0], state)
+    if not context_states:
+        tables.reason = NO_CYCLE
+    elif n > tables.profile()[state]:
+        tables.reason = f"{ABOVE_COVERABLE} {tables.max_cover[state]}"
+    else:
+        tables.pump(context_states)
+    return tables
 
 
 def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) -> FixpointTables:
@@ -477,7 +539,9 @@ def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) ->
 
     Uses the bound for the largest counter; a tree certifying q(n) under
     its own bound is also valid under a larger one, so the per-query and
-    batched answers agree.
+    batched answers agree.  The kernel saturates first, as in run_query,
+    and then every cyclic state is pumped at once, so ``holds`` is
+    complete for every state.
     """
     if nmax < 0:
         raise ValueError("nmax must be a natural number")

@@ -147,6 +147,31 @@ def test_json_report(b2_file, capsys):
     assert "decide" in report["timings"]
 
 
+@pytest.mark.parametrize(
+    "state, n, code, reason",
+    [
+        ("q", 7, 0, "kernel"),
+        ("q", 17, 1, "above largest coverable value 16"),
+        ("q_4", 15, 1, "no cyclic state in cone"),
+        ("q", 0, 0, "pump fixpoint"),
+    ],
+)
+def test_json_reports_the_step_that_decided_reach(tmp_path, capsys, state, n, code, reason):
+    system = _gen_doubling_file(tmp_path, 4)
+    assert main(["decide", "reach", "--system", system, "--state", state, "--n", str(n), "--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["reason"]) == (("yes", "no")[code], reason)
+
+
+def test_json_reason_of_a_pump_fixpoint_no(tmp_path, capsys):
+    # the parity pair: q reaches exactly the even values, so it covers 5 and
+    # the profile cannot refute q(5); the pump fixpoint says NO
+    path = tmp_path / "parity.bvass"
+    path.write_text("state q  state p\nfinal q\nunary q -1 p\nunary p -1 q\n")
+    assert main(["decide", "reach", "--system", str(path), "--state", "q", "--n", "5", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "pump fixpoint"
+
+
 def test_budget_flag_refusal(tmp_path, capsys):
     system = _gen_doubling_file(tmp_path, 6)
     assert main(["decide", "reach", "--system", system, "--state", "q", "--n", "0", "--budget", "10"]) == 2

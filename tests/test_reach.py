@@ -9,6 +9,7 @@ from bvass1.model import (
     Config,
     PartialTree,
     classify_nodes,
+    format_bvass,
     is_exclusive,
     is_reachability_tree,
     parse_bvass,
@@ -33,7 +34,8 @@ from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 
-from helpers import PUMP_TEXT, b2, loop_gadget, tree_of
+from helpers import PUMP_TEXT, b2, loop_gadget, random_instances, tree_of
+from test_max_coverable import _family_systems
 
 
 def _query(system, name, n) -> ReachQuery:
@@ -154,14 +156,25 @@ def test_checker_rejects_wrong_root():
     assert not ok and "root label" in why
 
 
+# the doubling-5 hub beside a leaf: r(n) splits into q(n-1) and a(1), and
+# for n < 12 q needs its pump, since the climb to 32 lies above B = 20 + n
+HUB_BESIDE_LEAF = format_bvass(gen_doubling(5)) + "state r  state a\nunary a -1 q_f\nbranch r q a\n"
+
+
 def _certificate_shapes():
     """Two pumped two-node spines, a pure DAG grafted at the root, and a
-    pumped spine with a graft beside the pump: (system, claim, certificate)."""
+    pumped spine with a graft beside the pump: (system, claim, certificate).
+
+    A pumped certificate comes only from a query that needs its pump: the
+    kernel saturates before any pump context, in run_query and run_batch
+    alike, so a query it answers gets a pump-free certificate.  Here the
+    bound 2|Q| + n lies below the hub's climb to 2^k.
+    """
     cases = [
-        (gen_doubling(4), "q", 7),
+        (gen_doubling(4), "q", 1),
         (gen_doubling(4), "q", 0),
         (gen_doubling(4), "q_4", 16),
-        (gen_random(3, 7, 2, 1, 17), "s1", 4),
+        (parse_bvass(HUB_BESIDE_LEAF), "r", 1),
     ]
     out = []
     for system, name, n in cases:
@@ -362,6 +375,49 @@ def test_engine_matches_oracle_exactly():
 
 
 # ---------------------------------------------------------------------------
+# kernel-first decisions
+
+
+def _differential_systems():
+    """(system, largest n): the 500 C3 systems, every ``gen`` family and some
+    larger random systems at n <= 2|Q|+2, and doubling hubs at n <= 20."""
+    systems = random_instances() + _family_systems() + [parse_bvass(HUB_BESIDE_LEAF)]
+    systems += [gen_random(6 + seed % 3, 12 + seed % 7, 4 + seed % 5, 1 + seed % 2, 900 + seed) for seed in range(12)]
+    out = [(system, 2 * system.num_states + 2) for system in systems]
+    return out + [(gen_doubling(k), 20) for k in range(7)]
+
+
+def test_query_verdicts_equal_the_complete_fixpoint():
+    # every state at every n, whichever step run_query decided at
+    reasons = set()
+    for system, nmax in _differential_systems():
+        tables = run_batch(system, nmax)
+        for state in range(system.num_states):
+            for n in range(nmax + 1):
+                single = run_query(ReachQuery(system, state, n))
+                assert single.holds(state, n) == tables.holds(state, n), (system, state, n, single.reason)
+                reasons.add(single.reason.split(" value ")[0])
+    assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
+
+
+def test_kernel_answers_and_refutations_build_no_context():
+    system = gen_doubling(4)  # q lies on a cycle, so every query's cone has one
+    yes = run_query(ReachQuery(system, 0, 7))  # the climb to 16 fits under B = 21
+    no = run_query(ReachQuery(system, 0, 17))  # q covers nothing above 16
+    assert yes.holds(0, 7) and not no.holds(0, 17)
+    assert (yes.reason, no.reason) == ("kernel", "above largest coverable value 16")
+    assert yes.contexts == no.contexts == []
+    assert not extract_certificate(ReachQuery(system, 0, 7), yes).pumps
+    # the kernel YES reads no profile; the refutation reads it and stops there
+    assert yes.max_cover == [] and no.max_cover[0] == 16
+    acyclic = run_query(ReachQuery(system, system.state_id("q_4"), 15))  # no cycle below q_4
+    assert not acyclic.holds(system.state_id("q_4"), 15)
+    assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == acyclic.max_cover == []
+    pumped = run_query(ReachQuery(system, 0, 0))  # the climb to 16 does not fit under B = 14
+    assert pumped.holds(0, 0) and pumped.reason == "pump fixpoint" and pumped.contexts
+
+
+# ---------------------------------------------------------------------------
 # expansion
 
 
@@ -384,7 +440,7 @@ def test_expand_overflow_without_pumps():
 
 
 def test_expand_pumped_certificate_to_full_tree():
-    system = gen_doubling(3)
+    system = gen_doubling(5)  # the bound 16 lies below the climb to 32
     query, cert = _decide_extract(system, "q", 0)
     assert cert.pumps
     expanded = expand_certificate(system, cert, max_nodes=10_000)
