@@ -83,23 +83,9 @@ class Bvass1:
     finals: frozenset[int]
 
     def __post_init__(self):
-        n = len(self.state_names)
-        if len(set(self.state_names)) != n:
-            raise SemanticError("duplicate state name")
-        for name in self.state_names:
-            if name in RESERVED_WORDS:
-                raise SemanticError(f"state name {name!r} is a reserved word")
-        for t in self.unary:
-            if not (0 <= t.source < n and 0 <= t.target < n):
-                raise SemanticError(f"unary transition {t} references an unknown state")
-            if t.delta not in Z_VALUES:
-                raise SemanticError(f"unary transition {t} has shift {t.delta}, not -1, 0 or +1")
-        for t in self.branching:
-            if not (0 <= t.source < n and 0 <= t.left < n and 0 <= t.right < n):
-                raise SemanticError(f"branching transition {t} references an unknown state")
-        for f in self.finals:
-            if not 0 <= f < n:
-                raise SemanticError(f"final state id {f} is out of range")
+        problems = validate_bvass(self)
+        if problems:
+            raise SemanticError(problems[0])
 
     @property
     def num_states(self) -> int:
@@ -142,33 +128,19 @@ class Bvass1:
         return index.freeze()
 
     @cached_property
-    def branch_pairs_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Per source state, the (left, right) pairs of its branching transitions."""
-        out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_states)]
-        for t in self.branching:
-            out[t.source].add((t.left, t.right))
-        return tuple(frozenset(v) for v in out)
-
-    @cached_property
-    def unary_moves_by_source(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Per source state, the (shift, target) moves of its unary transitions."""
-        out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_states)]
-        for t in self.unary:
-            out[t.source].add((t.delta, t.target))
-        return tuple(frozenset(v) for v in out)
-
-    @cached_property
     def state_graph(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
         """(successors, predecessors): per state, the states one transition
-        from it enters, and the states with a transition entering it."""
-        succ: list[set[int]] = [set() for _ in range(self.num_states)]
-        pred: list[set[int]] = [set() for _ in range(self.num_states)]
-        edges = [(t.source, t.target) for t in self.unary]
-        edges += [(t.source, p) for t in self.branching for p in (t.left, t.right)]
-        for q, p in edges:
-            succ[q].add(p)
-            pred[p].add(q)
-        return tuple(map(frozenset, succ)), tuple(map(frozenset, pred))
+        from it enters, and the states with a transition entering it, read
+        off ``rule_index``."""
+        up, by_left, by_right, _ = self.rule_index
+        pred = tuple(
+            frozenset(src for rows in entry for src, _, _ in rows) for entry in zip(up, by_left, by_right)
+        )
+        succ: list[set[int]] = [set() for _ in pred]
+        for p, sources in enumerate(pred):
+            for q in sources:
+                succ[q].add(p)
+        return tuple(map(frozenset, succ)), pred
 
 
 class _RuleIndex:
@@ -208,13 +180,16 @@ class _RuleIndex:
 def validate_bvass(system: Bvass1) -> list[str]:
     """Structural problems of a system; empty list means well formed.
 
-    Construction already enforces these invariants, so this only reports
-    on systems rebuilt through unchecked paths; kept as a public check.
+    ``Bvass1`` raises the first of them on construction, so this reports
+    only on systems rebuilt through unchecked paths.
     """
     problems: list[str] = []
     n = system.num_states
     if len(set(system.state_names)) != n:
         problems.append("duplicate state name")
+    for name in system.state_names:
+        if name in RESERVED_WORDS:
+            problems.append(f"state name {name!r} is a reserved word")
     for t in system.unary:
         if t.delta not in Z_VALUES:
             problems.append(f"bad shift {t.delta}")
@@ -311,7 +286,7 @@ def parse_bvass(text: str) -> Bvass1:
                     raise FormatError(line_no, f"unknown directive {word!r}")
     except KeyError as exc:
         raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
-    # Every check of Bvass1.__post_init__ has passed above, so the fields are
+    # Every check of validate_bvass has passed above, so the fields are
     # set directly, with the two cached properties (a cached_property keeps
     # its value in the instance dict under its own name).
     system = object.__new__(Bvass1)
@@ -499,8 +474,7 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
     if not tree.labels:
         return False, None, "empty tree"
     labels = tree.labels
-    pairs = system.branch_pairs_by_source
-    moves = system.unary_moves_by_source
+    unary, branching = set(system.unary), set(system.branching)
     shape: list[tuple[int, str, str]] = []
     links = 0  # (node, child) pairs present
     for addr, cfg in labels.items():
@@ -512,13 +486,13 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
                 shape.append((len(addr), addr, "node has only a right child"))
         elif rcfg is not None:
             links += 2
-            if (lcfg.state, rcfg.state) not in pairs[cfg.state]:
+            if (cfg.state, lcfg.state, rcfg.state) not in branching:
                 shape.append((len(addr), addr, "no branching transition matches the children"))
             elif lcfg.counter + rcfg.counter != cfg.counter:
                 shape.append((len(addr), addr, "children counters do not sum to the parent counter"))
         else:
             links += 1
-            if (lcfg.counter - cfg.counter, lcfg.state) not in moves[cfg.state]:
+            if (cfg.state, lcfg.counter - cfg.counter, lcfg.state) not in unary:
                 shape.append((len(addr), addr, "no unary transition matches the child"))
     # every node but a root "" is some node's child exactly when the domain
     # is prefix-closed over 0/1; only then can the domain scan be skipped

@@ -105,6 +105,11 @@ class WitnessSearchFailed(Exception):
     """
 
 
+def reach_bound(system: Bvass1, n: int) -> int:
+    """B = 2|Q| + n, the counter bound of a certificate for q(n)."""
+    return 2 * system.num_states + n
+
+
 @dataclass(frozen=True)
 class ReachQuery:
     system: Bvass1
@@ -119,7 +124,7 @@ class ReachQuery:
 
     @property
     def bound(self) -> int:
-        return 2 * self.system.num_states + self.n
+        return reach_bound(self.system, self.n)
 
 
 @dataclass(frozen=True)
@@ -518,6 +523,16 @@ def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> Fixpoin
     ``reason`` on the tables names the step.  The tables promise ``holds``
     for the query only: a bit of another state, or of q below n, may be
     missing when it needs a context that was never activated.
+
+    Step 2 could refute at n equal to the largest coverable value m as
+    well, since step 1 has always answered such a query.  As m <= B, m is
+    q's largest reachable value.  Take a derivation of q(m) with s(a)
+    above s(b) on one path.  If b > a, grafting s(b)'s subtree at s(a)
+    raises every node above by b - a, so q(m + b - a) is reachable; if
+    b < a, grafting s(a)'s subtree at s(b) gives q(m + a - b).  So b = a,
+    and that graft shortens the tree.  A shortest derivation of q(m)
+    thus repeats no state on a path, and its counters stay within
+    m + |Q| - 1 <= B, where the kernel finds it.
     """
     system = query.system
     state, n = query.state, query.n
@@ -545,8 +560,7 @@ def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) ->
     """
     if nmax < 0:
         raise ValueError("nmax must be a natural number")
-    bound = 2 * system.num_states + nmax
-    return FixpointTables(system, bound, nmax, _cyclic_states(system), Budget(budget))
+    return FixpointTables(system, reach_bound(system, nmax), nmax, _cyclic_states(system), Budget(budget))
 
 
 def decide_reach(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> bool:
@@ -765,8 +779,7 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
     the def's label.
     """
     defs = certificate.defs
-    pairs = system.branch_pairs_by_source
-    moves = system.unary_moves_by_source
+    unary, branching = set(system.unary), set(system.branching)
     for i, (cfg, kids) in defs.items():
         for c in kids:
             if c not in defs:
@@ -780,11 +793,11 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
                 return f"def {i} is a leaf that is not accepting"
         elif len(kids) == 1:
             child = defs[kids[0]][0]
-            if (child.counter - cfg.counter, child.state) not in moves[cfg.state]:
+            if (cfg.state, child.counter - cfg.counter, child.state) not in unary:
                 return f"def {i}: no unary transition matches the child"
         elif len(kids) == 2:
             left, right = defs[kids[0]][0], defs[kids[1]][0]
-            if (left.state, right.state) not in pairs[cfg.state]:
+            if (cfg.state, left.state, right.state) not in branching:
                 return f"def {i}: no branching transition matches the children"
             if left.counter + right.counter != cfg.counter:
                 return f"def {i}: children counters do not sum to the parent counter"
@@ -816,7 +829,7 @@ def check_certificate_report(
     are checked first, each once; then the tree, whose graft leaves count
     as derived, and the pumps.
     """
-    bound = 2 * system.num_states + claimed.counter
+    bound = reach_bound(system, claimed.counter)
     why = _shared_parts_report(system, certificate, bound)
     if why is not None:
         return False, why
@@ -888,7 +901,7 @@ def _witness_value_scan(
     the last is 0 on a first-cap hit and lets the caller bound the
     witness tree size from below before committing to a replay.
     """
-    cap = max(4 * (start + 2 * system.num_states), 64)
+    cap = max(4 * reach_bound(system, start), 64)
     prev = 0
     while True:
         cap = min(cap, search_cap)

@@ -620,3 +620,54 @@ def naive_parse_bvass(text: str) -> Bvass1:
     except KeyError as exc:
         raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
     return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
+
+
+# ---------------------------------------------------------------------------
+# metamorphic transformations: each keeps every verdict of the system
+
+
+def relabel(system: Bvass1, new_id: list[int], names: list[str], extra: Optional[Bvass1] = None) -> Bvass1:
+    """``system`` with state q moved to ``new_id[q]``, plus ``extra``'s states
+    appended after it unchanged in order; ``names`` covers both."""
+    unary = [UnaryTransition(new_id[t.source], t.delta, new_id[t.target]) for t in system.unary]
+    branching = [BranchTransition(new_id[t.source], new_id[t.left], new_id[t.right]) for t in system.branching]
+    finals = {new_id[f] for f in system.finals}
+    if extra is not None:
+        k = system.num_states
+        unary += [UnaryTransition(t.source + k, t.delta, t.target + k) for t in extra.unary]
+        branching += [BranchTransition(t.source + k, t.left + k, t.right + k) for t in extra.branching]
+        finals |= {f + k for f in extra.finals}
+    return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
+
+
+def renamed(system: Bvass1, rng: random.Random) -> tuple[Bvass1, list[int]]:
+    """``system`` with its state ids shuffled and every name changed; the
+    list gives each state's new id."""
+    perm = list(range(system.num_states))
+    rng.shuffle(perm)
+    names = [""] * system.num_states
+    for q, p in enumerate(perm):
+        names[p] = f"r_{system.state_name(q)}"
+    return relabel(system, perm, names), perm
+
+
+def disjoint_union(system: Bvass1, other: Bvass1) -> Bvass1:
+    """Both systems side by side, ``system``'s states first with their ids."""
+    names = [f"a_{n}" for n in system.state_names] + [f"b_{n}" for n in other.state_names]
+    return relabel(system, list(range(system.num_states)), names, other)
+
+
+def metamorphic_variants(system: Bvass1, other: Bvass1, rng: random.Random) -> list[tuple[str, Bvass1, list[int]]]:
+    """(kind, variant, where) with ``where[q]`` the id of q in the variant:
+    states renamed and shuffled, transitions reordered, and the disjoint
+    union with ``other`` placed first, so every id of ``system`` moves."""
+    shuffled_unary, shuffled_branching = list(system.unary), list(system.branching)
+    rng.shuffle(shuffled_unary)
+    rng.shuffle(shuffled_branching)
+    reordered = Bvass1(system.state_names, tuple(shuffled_unary), tuple(shuffled_branching), system.finals)
+    k = other.num_states
+    return [
+        ("rename", *renamed(system, rng)),
+        ("reorder", reordered, list(range(system.num_states))),
+        ("union", disjoint_union(other, system), [q + k for q in range(system.num_states)]),
+    ]

@@ -257,10 +257,16 @@ def test_decide_writes_the_dag_form(b2_file, tmp_path, capsys):
          "def 1: no unary transition matches the child"),
         (B2_TEXT, B2_DAG.replace("def 2 q_1 2 1 1", "def 2 q_1 2 0 0"), ("q_2", 4),
          "def 2: no branching transition matches the children"),
+        # q_0 -1 q_f and q_2 -> (q_1, q_1) exist, but not from q_1
+        (B2_TEXT, "def 0 q_f 0\ndef 1 q_1 1 0\ne = 1\n", ("q_1", 1),
+         "def 1: no unary transition matches the child"),
+        (B2_TEXT, B2_DAG.replace("def 3 q_2 4", "def 3 q_1 4"), ("q_1", 4),
+         "def 3: no branching transition matches the children"),
         (PUMP_TEXT, "def 0 f 0\ndef 1 s 0 0\ndef 2 s 1 1\ne s 0\n0 = 2\npump 0 e 1\n", ("s", 0),
          "graft at 0 sits on a pumped leaf"),
     ],
-    ids=["forward", "self", "unknown-def", "unknown-graft", "leaf", "bound", "unary", "branch", "pumped-graft"],
+    ids=["forward", "self", "unknown-def", "unknown-graft", "leaf", "bound", "unary", "branch",
+         "unary-other-source", "branch-other-source", "pumped-graft"],
 )
 def test_check_rejects_tampered_dag(tmp_path, capsys, system_text, cert_text, claim, reason):
     system = tmp_path / "s.bvass"

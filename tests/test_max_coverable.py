@@ -13,11 +13,11 @@ from bvass1.gen import (
     gen_random_circuit,
     gen_subset_sum,
 )
-from bvass1.model import Bvass1, BranchTransition, UnaryTransition, parse_bvass
+from bvass1.model import Bvass1, parse_bvass
 from bvass1.reach import _cyclic_states, run_batch
 from bvass1.residue import ResidueCache, _sup_bounds
 
-from helpers import naive_max_coverable, random_instances
+from helpers import disjoint_union, naive_max_coverable, random_instances, renamed
 
 
 def _family_systems() -> list[Bvass1]:
@@ -108,34 +108,6 @@ def test_every_emitted_witness_passes_the_checker():
 # metamorphic: renaming and disjoint union change nothing
 
 
-def _relabel(system: Bvass1, new_id: list[int], names: list[str], extra: Bvass1 | None = None) -> Bvass1:
-    """``system`` with state q moved to ``new_id[q]``, plus ``extra``'s states
-    appended after it unchanged in order; ``names`` covers both."""
-    unary = [UnaryTransition(new_id[t.source], t.delta, new_id[t.target]) for t in system.unary]
-    branching = [BranchTransition(new_id[t.source], new_id[t.left], new_id[t.right]) for t in system.branching]
-    finals = {new_id[f] for f in system.finals}
-    if extra is not None:
-        k = system.num_states
-        unary += [UnaryTransition(t.source + k, t.delta, t.target + k) for t in extra.unary]
-        branching += [BranchTransition(t.source + k, t.left + k, t.right + k) for t in extra.branching]
-        finals |= {f + k for f in extra.finals}
-    return Bvass1(tuple(names), tuple(unary), tuple(branching), frozenset(finals))
-
-
-def _renamed(system: Bvass1, rng: random.Random) -> tuple[Bvass1, list[int]]:
-    perm = list(range(system.num_states))
-    rng.shuffle(perm)
-    names = [""] * system.num_states
-    for q, p in enumerate(perm):
-        names[p] = f"r_{system.state_name(q)}"
-    return _relabel(system, perm, names), perm
-
-
-def _union(system: Bvass1, other: Bvass1) -> Bvass1:
-    names = [f"a_{n}" for n in system.state_names] + [f"b_{n}" for n in other.state_names]
-    return _relabel(system, list(range(system.num_states)), names, other)
-
-
 def _metamorphic_systems() -> list[Bvass1]:
     return random_instances()[::5] + _family_systems()[::3] + _random_systems()[::2]
 
@@ -143,19 +115,19 @@ def _metamorphic_systems() -> list[Bvass1]:
 def test_renaming_states_keeps_profile_and_verdicts():
     rng = random.Random(31)
     for system in _metamorphic_systems():
-        renamed, perm = _renamed(system, rng)
+        variant, perm = renamed(system, rng)
         clamp = system.num_states + 1
         before = ResidueCache(system).max_coverable(clamp)
-        after = ResidueCache(renamed).max_coverable(clamp)
+        after = ResidueCache(variant).max_coverable(clamp)
         assert [after[perm[q]] for q in range(system.num_states)] == before
         for q in range(system.num_states):
-            assert unbounded_report(renamed, perm[q])[0] == unbounded_report(system, q)[0]
+            assert unbounded_report(variant, perm[q])[0] == unbounded_report(system, q)[0]
 
 
 def test_disjoint_union_keeps_profile_and_verdicts():
     for i, system in enumerate(_metamorphic_systems()):
         other = gen_random(6 + i % 5, 12, 3, 1 + i % 2, 8200 + i)
-        union = _union(system, other)
+        union = disjoint_union(system, other)
         clamp = union.num_states + 1
         profile = ResidueCache(union).max_coverable(clamp)
         k = system.num_states

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bvass1.gen import gen_doubling, gen_random, gen_subset_sum
 from bvass1.model import (
+    BranchTransition,
     Bvass1,
     Config,
     FormatError,
@@ -93,6 +94,33 @@ def test_system_rejects_bad_shift():
     assert bad.delta == 2
     with pytest.raises(SemanticError, match="shift 2"):
         Bvass1(("a",), (bad,), (), frozenset())
+
+
+@pytest.mark.parametrize(
+    "names, unary, branching, finals, first",
+    [
+        (("a", "b", "a"), (), (), (), "duplicate state name"),
+        (("a", "def"), (), (), (), "state name 'def' is a reserved word"),
+        (("a",), (UnaryTransition(0, 2, 0),), (), (), "bad shift 2"),
+        (("a",), (UnaryTransition(0, 1, 3),), (), (),
+         "dangling unary transition UnaryTransition(source=0, delta=1, target=3)"),
+        (("a",), (), (BranchTransition(0, 0, -1),), (),
+         "dangling branching transition BranchTransition(source=0, left=0, right=-1)"),
+        (("a",), (), (), (1,), "dangling final state 1"),
+        # several problems: the first one reported is the one raised
+        (("a", "pump", "a"), (UnaryTransition(0, 5, 9),), (), (4,), "duplicate state name"),
+        (("a",), (UnaryTransition(0, -2, 0), UnaryTransition(0, 0, 1)), (), (2,), "bad shift -2"),
+    ],
+    ids=["duplicate", "reserved", "shift", "unary", "branch", "final", "first-of-four", "first-of-three"],
+)
+def test_construction_raises_the_first_problem_validate_bvass_reports(names, unary, branching, finals, first):
+    # the same fields with the constructor's check bypassed, as parse_bvass builds a system
+    unchecked = object.__new__(Bvass1)
+    unchecked.__dict__.update(state_names=names, unary=unary, branching=branching, finals=frozenset(finals))
+    assert validate_bvass(unchecked)[0] == first
+    with pytest.raises(SemanticError) as raised:
+        Bvass1(names, unary, branching, frozenset(finals))
+    assert str(raised.value) == first
 
 
 def _random_directives(rng: random.Random) -> list[list[str]]:
@@ -271,6 +299,15 @@ def test_validate_rejects_unmatched_unary_child():
     tree = tree_of(system, {"": ("q_0", 1), "0": ("q_f", 1)})
     ok, _, why = validate_partial_tree_report(system, tree)
     assert not ok and why == "no unary transition matches the child"
+
+
+def test_validate_rejects_a_step_that_only_another_source_takes():
+    system = b2()
+    # q_0 -1 q_f and q_2 -> (q_1, q_1) exist, but not from q_1
+    unary = tree_of(system, {"": ("q_1", 1), "0": ("q_f", 0)})
+    branch = tree_of(system, {"": ("q_1", 4), "0": ("q_1", 2), "1": ("q_1", 2)})
+    assert validate_partial_tree_report(system, unary) == (False, "", "no unary transition matches the child")
+    assert validate_partial_tree_report(system, branch) == (False, "", "no branching transition matches the children")
 
 
 def test_is_reachability_tree_examples():

@@ -1,6 +1,7 @@
 """Reachability decisions, certificates, checking, and expansion."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 from bvass1 import residue
@@ -16,6 +17,7 @@ from bvass1.model import (
 )
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
+    KERNEL,
     Certificate,
     ExpandOverflow,
     PumpRecord,
@@ -34,7 +36,7 @@ from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 
-from helpers import PUMP_TEXT, b2, loop_gadget, random_instances, tree_of
+from helpers import PUMP_TEXT, b2, loop_gadget, metamorphic_variants, random_instances, tree_of
 from test_max_coverable import _family_systems
 
 
@@ -398,6 +400,49 @@ def test_query_verdicts_equal_the_complete_fixpoint():
                 assert single.holds(state, n) == tables.holds(state, n), (system, state, n, single.reason)
                 reasons.add(single.reason.split(" value ")[0])
     assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
+
+
+def test_run_query_is_invariant_under_renaming_reordering_and_union():
+    # renaming and reordering keep the verdict and the step that decided it;
+    # the union's B grows with |Q|, so its kernel may decide what pumped before
+    rng = random.Random(16)
+    instances = random_instances()
+    reasons, certified = set(), 0
+    for i, (system, nmax) in enumerate(_differential_systems()):
+        other = instances[(7 * i + 3) % len(instances)]
+        variants = metamorphic_variants(system, other, rng)
+        for state in range(system.num_states):
+            for n in range(nmax + 1):
+                base = run_query(ReachQuery(system, state, n))
+                verdict = base.holds(state, n)
+                reasons.add(base.reason.split(" value ")[0])
+                for kind, variant, where in variants:
+                    query = ReachQuery(variant, where[state], n)
+                    tables = run_query(query)
+                    assert tables.holds(query.state, n) == verdict, (kind, system, state, n)
+                    moved = kind == "union" and verdict and tables.reason == KERNEL
+                    assert tables.reason == base.reason or moved, (kind, system, state, n)
+                    if verdict:
+                        cert = extract_certificate(query, tables)
+                        assert check_certificate_report(variant, cert, Config(query.state, n)) == (True, "ok")
+                        certified += 1
+    assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
+    assert certified > 3000, certified
+
+
+def test_largest_reachable_value_is_a_kernel_answer():
+    # run_query's docstring: a shortest derivation of q at its largest value
+    # repeats no state on a path, so step 2's boundary n > m could be n >= m
+    systems = [system for system, _ in _differential_systems()] + [gen_doubling(k) for k in (8, 10)]
+    queries = 0
+    for system in systems:
+        clamp = 4 * system.num_states + 2**10 + 2
+        for q, m in enumerate(residue.ResidueCache(system).max_coverable(clamp)):
+            if 0 <= m < clamp:
+                tables = run_query(ReachQuery(system, q, m))
+                assert tables.holds(q, m) and tables.reason == KERNEL, (system, q, m, tables.reason)
+                queries += 1
+    assert queries > 500, queries
 
 
 def test_kernel_answers_and_refutations_build_no_context():
