@@ -128,6 +128,12 @@ class Bvass1:
         return index.freeze()
 
     @cached_property
+    def transition_sets(self) -> tuple[frozenset[UnaryTransition], frozenset[BranchTransition]]:
+        """(unary, branching) as sets, for the checkers' tests whether a
+        step is one of the system's transitions."""
+        return frozenset(self.unary), frozenset(self.branching)
+
+    @cached_property
     def state_graph(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
         """(successors, predecessors): per state, the states one transition
         from it enters, and the states with a transition entering it, read
@@ -474,7 +480,7 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
     if not tree.labels:
         return False, None, "empty tree"
     labels = tree.labels
-    unary, branching = set(system.unary), set(system.branching)
+    unary, branching = system.transition_sets
     shape: list[tuple[int, str, str]] = []
     links = 0  # (node, child) pairs present
     for addr, cfg in labels.items():

@@ -34,6 +34,15 @@ step from s(n) enters a path of the context.  Contexts are only created
 for states on directed cycles (a path returning to s needs one) and for
 leaf counters not above the state's largest coverable value.
 
+The contexts of one state are packed into rows of one path table, so
+that one event advances every leaf counter at once: row m* holds the
+context's counters [0, B] in its own W = 2B + 2 bits, wide enough that a
+sumset with a reach mask (sums <= 2B) stays inside the row.  Rows are
+grouped into blocks of at most ``_BLOCK_BITS`` bits; when B is large a
+block is a single row, one table per context.  ``FixpointTables.contexts``
+holds one read-only row view per context, which replay, the pump rules
+on the reach table and the tests read as a table of its own.
+
 The reach masks are a ``residue.BoundedReach`` kernel under B: it
 applies the system's own rules (and saturates self-loops), and the pump
 rules add to it.  A query is decided kernel first.  The kernel saturates
@@ -43,12 +52,13 @@ cone lies on a cycle, or when n is above the state's largest coverable
 value.  Only then are the cone's contexts activated on the same kernel,
 and the fixpoint resumes.  So a single query's tables are complete for
 that query alone; the batch pumps every cyclic state and is complete
-for all.  The kernel and every path table keep one event log
+for all.  The kernel and every path block keep one event log
 (``residue.EventLog``): per state, one (tick, rule, bits) entry per add
-event.  All ticks come from the kernel's clock, so a rule's premises
-always carry smaller ticks than its conclusion, and a positive answer
-replays into a concrete certificate deterministically, reading either
-kind of table the same way.
+event, and a row view reads its row's part of its block's entries.  All
+ticks come from the kernel's clock, so a rule's premises always carry
+smaller ticks than its conclusion, and a positive answer replays into a
+concrete certificate deterministically, reading either kind of table the
+same way.
 """
 from __future__ import annotations
 
@@ -300,18 +310,93 @@ def _cyclic_states(system: Bvass1) -> set[int]:
 # fixpoint engine
 
 
-class _Context(EventLog):
-    """Path table of one pump context (state, leaf counter), with its event log."""
+# Width cap of one block of packed pump rows, in bits.  Measured with
+# Python 3.11 on a 2-CPU host.  On the first 4,000 dense-random operations
+# of seed 1 (B <= 27, rows at most 1,512 bits wide) the 126 step-3 queries
+# took 2.1 s at one row per block, 0.53 s at 512 bits and 0.35-0.41 s from
+# 1,024 bits on, where every state's rows fit one block.  On the parity
+# system (state q / state p / final q / unary q -1 p / unary p -1 q) at
+# n = 1001, whose 2,012-bit rows gain a bit or two per event, two rows per
+# block (4,096 bits) took 2.2 s instead of 3.3 s but peaked at 260 MB
+# instead of 237 MB: its log keeps a million entries, and each packed entry
+# is an int as wide as the rows below its bits.  2,048 bits keeps such
+# wide rows one to a block, the memory of one table per context.
+_BLOCK_BITS = 2048
 
-    __slots__ = ("state", "m_star", "masks", "log", "probed", "back")
 
-    def __init__(self, state: int, m_star: int, num_states: int, back: set[int]):
+class _Block(EventLog):
+    """The path tables of the pump contexts (state, m*) for consecutive leaf
+    counters m*, packed: row r, leaf counter ``m_lo + r``, holds its counters
+    [0, B] at bits [r·W, r·W + B] of each mask, W = ``stride`` = 2B + 2.
+
+    A unary shift moves every row at once, and a sumset against a reach
+    mask (bits <= B) keeps each row's sums (<= 2B) below the next row, so
+    one add event advances every row of the block.  Bits outside a row's
+    [0, B] are dropped through ``window`` (``cut`` within one row).
+    ``below`` holds each row's counters below its m*: the anchor
+    candidates, and the bits a path may not take at the state itself.
+    ``rep`` copies a reach mask into every row.  The log entries carry
+    packed bits; ``_Row`` reads one row.
+    """
+
+    __slots__ = (
+        "state", "m_lo", "stride", "first", "back", "masks", "log", "pending", "probed",
+        "rep", "window", "cut", "below",
+    )
+
+    def __init__(self, state: int, m_lo: int, rows: int, layout: tuple[int, int, int, int], first: int,
+                 num_states: int, back: set[int]):
         self.state = state
-        self.m_star = m_star
+        self.m_lo = m_lo
+        # the masks that depend only on the row count and B, shared by blocks
+        self.stride, self.rep, self.window, self.cut = layout
+        self.first = first  # index of row 0's view in ``FixpointTables.contexts``
+        self.back = back  # states with a path to ``state``
         self.masks = [0] * num_states
         self.log: list[list[tuple[int, tuple, int]]] = [[] for _ in range(num_states)]
-        self.probed = 0  # anchor counters whose residue query was already asked
-        self.back = back  # states with a path to self.state
+        self.pending = [0] * num_states  # nonzero exactly while (block, state) is queued
+        self.probed = 0  # anchor bits whose residue query was already asked
+        self.below = sum(((1 << (m_lo + r)) - 1) << (r * self.stride) for r in range(rows))
+
+
+class _Row:
+    """Read-only view of one pump context (state, m*): a row of its block,
+    read like a table of its own, its masks and log entries cut to the row."""
+
+    __slots__ = ("block", "m_star", "shift")
+
+    def __init__(self, block: _Block, r: int):
+        self.block = block
+        self.m_star = block.m_lo + r
+        self.shift = r * block.stride
+
+    @property
+    def state(self) -> int:
+        return self.block.state
+
+    @property
+    def back(self) -> set[int]:
+        return self.block.back
+
+    @property
+    def masks(self) -> list[int]:
+        shift, cut = self.shift, self.block.cut
+        return [(m >> shift) & cut for m in self.block.masks]
+
+    @property
+    def log(self) -> list[list[tuple[int, tuple, int]]]:
+        shift, cut = self.shift, self.block.cut
+        return [
+            [(tick, rule, b) for tick, rule, bits in entries if (b := (bits >> shift) & cut)]
+            for entries in self.block.log
+        ]
+
+    def entry_of(self, q: int, m: int) -> tuple[int, tuple, int]:
+        tick, rule, bits = self.block.entry_of(q, self.shift + m)
+        return tick, rule, (bits >> self.shift) & self.block.cut
+
+    def as_of(self, q: int, before: int) -> int:
+        return (self.block.as_of(q, before) >> self.shift) & self.block.cut
 
 
 class FixpointTables:
@@ -325,6 +410,9 @@ class FixpointTables:
     events too, and the residue cache, budget and reach window are the
     ones the kernel had.  The constructor pumps ``context_states`` right
     away; run_batch passes every cyclic state there, run_query none.
+    A pumped state's contexts are rows of packed ``_Block`` tables, and
+    ``contexts`` holds one ``_Row`` view per context, indexed as the pump
+    rules on the reach table name them.
 
     ``holds(q, n)`` answers reachability for n up to ``complete_to`` when
     every cyclic state of q's cone has been pumped, as run_batch does for
@@ -353,15 +441,14 @@ class FixpointTables:
         # the reach masks' window, charged before they exist
         budget.charge(nq * (bound + 1))
 
-        self.contexts: list[_Context] = []
-        # reach-delta watchers: state -> [(ctx, branch, p_side)]
-        self._pb_watch: list[list[tuple[int, int, int]]] = [[] for _ in range(nq)]
-        self._pending_p: list[list[int]] = []
+        # one view per pump context (state, m*), rows of the packed blocks
+        self.contexts: list[_Row] = []
+        # reach-delta watchers: state -> [(block, source, path child, rule, pump rule tail)]
+        self._pb_watch: list[list[tuple[_Block, int, int, tuple, tuple]]] = [[] for _ in range(nq)]
 
-        # one queue for both tables: reach keys are states, path keys (ctx, state)
+        # one queue for both tables: reach keys are states, path keys (block, state)
         self.reach = BoundedReach(system, bound, justify=True)
         self.reach_masks = self.reach.masks
-        self._queued: set[tuple[int, int]] = set()
         self.reason = KERNEL
         self._run()
         if context_states:
@@ -382,25 +469,37 @@ class FixpointTables:
     # -- setup
 
     def _activate_contexts(self, context_states: set[int]) -> None:
+        """One block per run of leaf counters of each state, each charged its
+        whole window, |Q| x its width, when it is built."""
         system = self.system
         nq = system.num_states
+        bound = self.bound
         pred = system.state_graph[1]
         top_of = self.profile()
+        stride = 2 * bound + 2
+        cut = (1 << (bound + 1)) - 1
+        per_block = max(1, _BLOCK_BITS // stride)
+        layouts: dict[int, tuple[int, int, int, int]] = {}  # row count -> (stride, rep, window, cut)
         for s in sorted(context_states):
             back = _closure(pred, s)
-            top = min(top_of[s], self.bound)
-            for m_star in range(1, top + 1):
-                self.budget.charge(nq)
-                ci = len(self.contexts)
-                ctx = _Context(s, m_star, nq, back)
-                self.contexts.append(ctx)
-                self._pending_p.append([0] * nq)
-                for i, t in enumerate(system.branching):
-                    if t.left in ctx.back:
-                        self._pb_watch[t.right].append((ci, i, 0))
-                    if t.right in ctx.back:
-                        self._pb_watch[t.left].append((ci, i, 1))
-                self._add_p(ci, s, 1 << m_star, ("self",))
+            top = min(top_of[s], bound)
+            for m_lo in range(1, top + 1, per_block):
+                rows = min(per_block, top + 1 - m_lo)
+                self.budget.charge(nq * rows * stride)
+                layout = layouts.get(rows)
+                if layout is None:
+                    rep = sum(1 << (r * stride) for r in range(rows))
+                    layout = layouts[rows] = (stride, rep, rep * cut, cut)
+                block = _Block(s, m_lo, rows, layout, len(self.contexts), nq, back)
+                self.contexts += [_Row(block, r) for r in range(rows)]
+                for i, (src, left, right) in enumerate(system.branching):
+                    if left in back:
+                        self._pb_watch[right].append((block, src, left, ("branch", i, 0), (i, 0)))
+                    if right in back:
+                        self._pb_watch[left].append((block, src, right, ("branch", i, 1), (i, 1)))
+                # row r's leaf s(m_lo + r), at bit r·W + m_lo + r
+                seed = sum(1 << (r * (stride + 1) + m_lo) for r in range(rows))
+                self._add_p(block, s, seed, ("self",))
 
     # -- residue probes
 
@@ -411,41 +510,47 @@ class FixpointTables:
 
     # -- table updates
 
-    def _add_p(self, ci: int, q: int, bits: int, just: tuple) -> None:
-        ctx = self.contexts[ci]
-        bits &= self.reach.full
-        if q == ctx.state:
+    def _add_p(self, block: _Block, q: int, bits: int, just: tuple) -> None:
+        bits &= block.window
+        if q == block.state:
             # interior path nodes must not sit below the leaf counter,
             # or the leaf's deepest smaller ancestor moves off the anchor
-            bits &= ~((1 << ctx.m_star) - 1)
-        new = bits & ~ctx.masks[q]
+            bits &= ~block.below
+        new = bits & ~block.masks[q]
         if not new:
             return
-        self.budget.charge(new.bit_count())
-        ctx.masks[q] |= new
-        self.reach.tick += 1
-        ctx.log[q].append((self.reach.tick, just, new))
-        self._pending_p[ci][q] |= new
-        key = (ci, q)
-        if key not in self._queued:
-            self._queued.add(key)
-            self.reach.queue.append(key)
+        block.masks[q] |= new
+        reach = self.reach
+        reach.tick += 1
+        block.log[q].append((reach.tick, just, new))
+        if not block.pending[q]:
+            reach.queue.append((block, q))
+        block.pending[q] |= new
 
     # -- rule application
 
-    def _fire_top(self, ci: int, nbits: int, just: tuple) -> None:
-        ctx = self.contexts[ci]
-        nbits &= (1 << ctx.m_star) - 1  # anchor strictly below the leaf
-        nbits &= ~self.reach_masks[ctx.state]
-        cand = nbits & ~ctx.probed
-        m = cand
-        while m:
-            low = m & -m
-            n = low.bit_length() - 1
-            ctx.probed |= low
-            if self._probe(ctx.state, ctx.m_star, ctx.m_star - n):
-                self.reach.add(ctx.state, low, just)
-            m ^= low
+    def _fire_top(self, block: _Block, bits: int, kind: str, tail: tuple) -> None:
+        """Probe each row's anchors strictly below its leaf counter; a positive
+        probe adds the anchor's bit to the reach table by the rule
+        (kind, the row's view index, *tail)."""
+        bits &= block.below & ~block.probed
+        if not bits:
+            return
+        s = block.state
+        reach = self.reach
+        masks = reach.masks
+        bits &= ~(masks[s] * block.rep)
+        stride = block.stride
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            r, n = divmod(low.bit_length() - 1, stride)
+            if (masks[s] >> n) & 1:
+                continue  # an earlier row of this event added it
+            block.probed |= low
+            m_star = block.m_lo + r
+            if self._probe(s, m_star, m_star - n):
+                reach.add(s, 1 << n, (kind, block.first + r) + tail)
         # bits probed positive earlier are already reach bits; nothing to redo
 
     def _run(self) -> None:
@@ -458,45 +563,41 @@ class FixpointTables:
                 if delta:
                     self._on_reach_delta(key, delta)
             else:
-                self._queued.discard(key)
-                ci, q = key
-                delta = self._pending_p[ci][q]
-                self._pending_p[ci][q] = 0
-                if delta:
-                    self._on_path_delta(ci, q, delta)
+                block, q = key
+                delta = block.pending[q]
+                block.pending[q] = 0
+                self._on_path_delta(block, q, delta)
 
     def _on_reach_delta(self, q: int, delta: int) -> None:
         """Reach bits as side branches of the path tables; the kernel has
         already applied the reach rules."""
-        system = self.system
-        for (ci, bi, p_side) in self._pb_watch[q]:
-            t = system.branching[bi]
-            ctx = self.contexts[ci]
-            pmask = ctx.masks[t.left if p_side == 0 else t.right]
+        for (block, src, path_child, rule, tail) in self._pb_watch[q]:
+            pmask = block.masks[path_child]
             if pmask:
                 bits = _sumset(delta, pmask)
-                self._add_p(ci, t.source, bits, ("branch", bi, p_side))
-                if t.source == ctx.state:
-                    self._fire_top(ci, bits, ("pump_branch", ci, bi, p_side))
+                self._add_p(block, src, bits, rule)
+                if src == block.state:
+                    self._fire_top(block, bits, "pump_branch", tail)
 
-    def _on_path_delta(self, ci: int, q: int, delta: int) -> None:
+    def _on_path_delta(self, block: _Block, q: int, delta: int) -> None:
         reach = self.reach
-        s = self.contexts[ci].state
+        reach_masks = self.reach_masks
+        s = block.state
         for (src, z, rule) in reach.up[q]:
             bits = _shift_parent(delta, z)
-            self._add_p(ci, src, bits, rule)
+            self._add_p(block, src, bits, rule)
             if src == s:
-                self._fire_top(ci, bits, ("pump_unary", ci, rule[1]))
-        for (src, right, rule) in reach.by_left[q]:
-            bits = _sumset(delta, self.reach_masks[right])
-            self._add_p(ci, src, bits, ("branch", rule[1], 0))
+                self._fire_top(block, bits, "pump_unary", rule[1:])
+        for (src, right, (_, i)) in reach.by_left[q]:
+            bits = _sumset(delta, reach_masks[right])
+            self._add_p(block, src, bits, ("branch", i, 0))
             if src == s:
-                self._fire_top(ci, bits, ("pump_branch", ci, rule[1], 0))
-        for (src, left, rule) in reach.by_right[q]:
-            bits = _sumset(self.reach_masks[left], delta)
-            self._add_p(ci, src, bits, ("branch", rule[1], 1))
+                self._fire_top(block, bits, "pump_branch", (i, 0))
+        for (src, left, (_, i)) in reach.by_right[q]:
+            bits = _sumset(reach_masks[left], delta)
+            self._add_p(block, src, bits, ("branch", i, 1))
             if src == s:
-                self._fire_top(ci, bits, ("pump_branch", ci, rule[1], 1))
+                self._fire_top(block, bits, "pump_branch", (i, 1))
 
     # -- results
 
@@ -603,7 +704,7 @@ class _ReplayOverLimit(Exception):
 
 
 def _replay_step(
-    reach: BoundedReach, contexts: list[_Context], ci: Optional[int], m: int, ts: int, rule: tuple
+    reach: BoundedReach, contexts: list[_Row], ci: Optional[int], m: int, ts: int, rule: tuple
 ) -> tuple:
     """How a key with counter m unfolds, given its first justification.
 
@@ -625,16 +726,16 @@ def _replay_step(
         ci = rule[1]
         rule = (kind[5:],) + rule[2:]
     if rule[0] == "unary":
-        t = reach.system.unary[rule[1]]
-        return starts_path, (("0", (ci, t.target, m + t.delta)),)
+        _, z, target = reach.system.unary[rule[1]]
+        return starts_path, (("0", (ci, target, m + z)),)
     # a branch; on a path, the path continues on side rule[2]
-    t = reach.system.branching[rule[1]]
+    _, left_state, right_state = reach.system.branching[rule[1]]
     lci = ci if ci is not None and rule[2] == 0 else None
     rci = ci if ci is not None and rule[2] == 1 else None
-    left = (reach if lci is None else contexts[lci]).as_of(t.left, ts)
-    right = (reach if rci is None else contexts[rci]).as_of(t.right, ts)
+    left = (reach if lci is None else contexts[lci]).as_of(left_state, ts)
+    right = (reach if rci is None else contexts[rci]).as_of(right_state, ts)
     m0 = _resolve_branch_split(left, right, m)
-    return starts_path, (("0", (lci, t.left, m0)), ("1", (rci, t.right, m - m0)))
+    return starts_path, (("0", (lci, left_state, m0)), ("1", (rci, right_state, m - m0)))
 
 
 def _loop_run(steps: dict[tuple, tuple], q: int, m: int, z: int, bits: int) -> tuple[list[tuple], tuple]:
@@ -659,7 +760,7 @@ def _loop_run(steps: dict[tuple, tuple], q: int, m: int, z: int, bits: int) -> t
 
 
 def _replay(
-    reach: BoundedReach, contexts: list[_Context], state: int, n: int, key_limit: int | None = None
+    reach: BoundedReach, contexts: list[_Row], state: int, n: int, key_limit: int | None = None
 ) -> tuple[dict[int, Def], list[int], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
     """Read the derivation of state(n) back from the first justifications.
 
@@ -779,7 +880,7 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
     the def's label.
     """
     defs = certificate.defs
-    unary, branching = set(system.unary), set(system.branching)
+    unary, branching = system.transition_sets
     for i, (cfg, kids) in defs.items():
         for c in kids:
             if c not in defs:

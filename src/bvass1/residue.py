@@ -144,13 +144,22 @@ class ResidueTable:
 def _sumset(a: int, b: int) -> int:
     """{x + y : bit x of a, bit y of b} as a bitmask; operands untruncated.
 
-    Walks the runs of the operand with fewer set bits: the other operand
-    is smeared over a run of n consecutive bits by O(log n) doubling
-    shift-ors, then shifted to the run's start.
+    Walks the runs of one operand: the other is smeared over a run of n
+    consecutive bits by O(log n) doubling shift-ors, then shifted to the
+    run's start.  A single bit is one shift.  Otherwise the walk takes the
+    operand with fewer set bits, or, when that has more than two, the one
+    with fewer runs (x ^ (x << 1) has two bits per run of x): a packed
+    pump table has a run or more per row, where the reach mask it is
+    added to often has one.
     """
     if a == 0 or b == 0:
         return 0
-    if a.bit_count() > b.bit_count():
+    na, nb = a.bit_count(), b.bit_count()
+    if na > nb:
+        a, b, na = b, a, nb
+    if na == 1:
+        return b << (a.bit_length() - 1)
+    if na > 2 and (a ^ (a << 1)).bit_count() > (b ^ (b << 1)).bit_count():
         a, b = b, a
     out = 0
     while a:

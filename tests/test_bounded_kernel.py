@@ -316,15 +316,21 @@ def test_log_ticks_order_premises_before_conclusions():
 
 
 def test_kernel_and_path_logs_partition_their_masks():
-    # the reach kernel and every pump context log one entry per add event,
-    # each on a fresh tick of the one clock
-    kernel_bits = path_bits = 0
+    # the reach kernel and every packed block log one entry per add event,
+    # each on a fresh tick of the one clock, and so does each row view of a
+    # pump context, read off its block
+    kernel_bits = path_bits = shared = 0
     for system in random_instances() + _family_systems():
         tables = run_batch(system, 6)
         kernel_bits += _check_log(tables.reach, tables.reach_masks)
+        blocks = {id(ctx.block): ctx.block for ctx in tables.contexts}
+        for block in blocks.values():
+            _check_log(block, block.masks)
+        shared += len(tables.contexts) - len(blocks)
         for ctx in tables.contexts:
             path_bits += _check_log(ctx, ctx.masks)
     assert kernel_bits > 5000 and path_bits > 50_000, (kernel_bits, path_bits)
+    assert shared > 1000, shared
 
 
 def _certify(system: Bvass1, state: int, n: int) -> bool:

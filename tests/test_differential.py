@@ -295,6 +295,8 @@ def test_state_graph_and_pump_context_backward_sets_match_naive():
             succ[t.source].update((t.left, t.right))
         assert list(system.state_graph[0]) == succ
         assert list(system.state_graph[1]) == [{q for q in range(nq) if p in succ[q]} for p in range(nq)]
+        assert system.transition_sets == (set(system.unary), set(system.branching))
+        assert system.transition_sets is system.transition_sets  # built once, read by both checkers
         up, by_left, by_right, loops = system.rule_index
         unary = list(enumerate(system.unary))
         branching = list(enumerate(system.branching))
@@ -319,5 +321,7 @@ def test_state_graph_and_pump_context_backward_sets_match_naive():
 
         for ctx in run_batch(system, 2).contexts:
             assert ctx.back == {q for q in range(nq) if reaches(q, ctx.state)}
+            # a row view's path bits lie at states with a path to its state
+            assert {q for q, mask in enumerate(ctx.masks) if mask} <= ctx.back
             checked += 1
     assert checked > 1000, checked

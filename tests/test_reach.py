@@ -18,6 +18,7 @@ from bvass1.model import (
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
     KERNEL,
+    PUMP_FIXPOINT,
     Certificate,
     ExpandOverflow,
     PumpRecord,
@@ -428,6 +429,62 @@ def test_run_query_is_invariant_under_renaming_reordering_and_union():
                         certified += 1
     assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
     assert certified > 3000, certified
+
+
+def _batch_verdicts(tables, states: list[int], nmax: int) -> list[list[bool]]:
+    return [[tables.holds(q, n) for n in range(nmax + 1)] for q in states]
+
+
+def test_run_batch_is_invariant_under_renaming_reordering_and_union():
+    # the complete fixpoint keeps every verdict under each variant.  A
+    # certificate read off batch tables keeps its counters under the batch's
+    # bound B(nmax), which the checker's bound B(n) admits at n = nmax
+    rng = random.Random(17)
+    instances = random_instances()
+    certified = 0
+    for i, (system, nmax) in enumerate(_differential_systems()):
+        other = instances[(7 * i + 3) % len(instances)]
+        states = list(range(system.num_states))
+        verdicts = _batch_verdicts(run_batch(system, nmax), states, nmax)
+        for kind, variant, where in metamorphic_variants(system, other, rng):
+            tables = run_batch(variant, nmax)
+            assert _batch_verdicts(tables, [where[q] for q in states], nmax) == verdicts, (kind, system)
+            for q in states:
+                if verdicts[q][nmax]:
+                    query = ReachQuery(variant, where[q], nmax)
+                    cert = extract_certificate(query, tables)
+                    assert check_certificate_report(variant, cert, Config(query.state, nmax)) == (True, "ok")
+                    certified += 1
+    assert certified > 1000, certified
+
+
+def test_one_row_blocks_decide_as_packed_blocks(monkeypatch):
+    # a block of packed rows answers as one table per pump context does
+    cases = [(system, 2 * system.num_states + 2) for system in random_instances() + _family_systems()]
+    cases += [(gen_doubling(k), 20) for k in range(9)]
+    packed, shared = [], 0
+    for system, nmax in cases:
+        tables = run_batch(system, nmax)
+        shared += len(tables.contexts) - len({id(c.block) for c in tables.contexts})
+        packed.append(_batch_verdicts(tables, list(range(system.num_states)), nmax))
+    assert shared > 5000, shared  # rows do share blocks by default
+    monkeypatch.setattr("bvass1.reach._BLOCK_BITS", 1)
+    certified = 0
+    for (system, nmax), verdicts in zip(cases, packed):
+        tables = run_batch(system, nmax)
+        assert len({id(c.block) for c in tables.contexts}) == len(tables.contexts)
+        assert _batch_verdicts(tables, list(range(system.num_states)), nmax) == verdicts, system
+        for q in range(system.num_states):
+            for n in range(nmax + 1):
+                if not verdicts[q][n]:
+                    continue
+                query = ReachQuery(system, q, n)
+                single = run_query(query)
+                if single.reason == PUMP_FIXPOINT:
+                    cert = extract_certificate(query, single)
+                    assert check_certificate_report(system, cert, Config(q, n)) == (True, "ok"), (system, q, n)
+                    certified += 1
+    assert certified > 100, certified
 
 
 def test_largest_reachable_value_is_a_kernel_answer():
