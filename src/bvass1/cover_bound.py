@@ -17,8 +17,9 @@ plus the cycle fit in |Q| edges and form a witness sequence that a
 separate checker verifies clause by clause.
 
 The clamped values are the max-coverable profile the reach engine also
-reads (``ResidueCache.max_coverable``); the witness checker does not
-trust it and asks its own modulus-1 questions.
+reads (``ResidueCache.max_coverable``), read off one modulus-1 table at
+the clamp; the witness checker does not trust it and asks its own
+modulus-1 questions.
 """
 from __future__ import annotations
 

@@ -627,13 +627,9 @@ def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> Fixpoin
 
     Step 2 could refute at n equal to the largest coverable value m as
     well, since step 1 has always answered such a query.  As m <= B, m is
-    q's largest reachable value.  Take a derivation of q(m) with s(a)
-    above s(b) on one path.  If b > a, grafting s(b)'s subtree at s(a)
-    raises every node above by b - a, so q(m + b - a) is reachable; if
-    b < a, grafting s(a)'s subtree at s(b) gives q(m + a - b).  So b = a,
-    and that graft shortens the tree.  A shortest derivation of q(m)
-    thus repeats no state on a path, and its counters stay within
-    m + |Q| - 1 <= B, where the kernel finds it.
+    q's largest reachable value, and a shortest derivation of q(m) keeps
+    its counters within m + |Q| - 1 <= B (the lemma in
+    ``ResidueCache.max_coverable``), where the kernel finds it.
     """
     system = query.system
     state, n = query.state, query.n
@@ -793,9 +789,9 @@ def _replay(
             ci, q, m = key
             ts, rule, bits = (reach if ci is None else contexts[ci]).entry_of(q, m)
             # runs are reach keys: a path table's loop step stays on the path
-            t = unary[rule[1]] if ci is None and rule[0] == "unary" else None
-            if t is not None and t.target == q and t.delta:
-                run, below = runs[key] = _loop_run(steps, q, m, t.delta, bits)
+            _, z, target = unary[rule[1]] if ci is None and rule[0] == "unary" else (None, 0, None)
+            if z and target == q:
+                run, below = runs[key] = _loop_run(steps, q, m, z, bits)
                 if key_limit is not None and len(steps) + len(run) > key_limit:
                     raise _ReplayOverLimit
                 for k, child in zip(run, run[1:] + [below]):

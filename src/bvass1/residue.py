@@ -23,10 +23,10 @@ kernel, which the reach engine (its reach rules under the bound B) and
 certificate expansion (the witness for each pumped leaf) run as well.
 Those two keep an ``EventLog``, one (tick, rule, bits) entry per add
 event, to replay a derivation, as the reach engine's path tables do;
-the residue tables never replay and log nothing.  The kernel, R's
-fixpoint and ``_sup_bounds`` apply the system's rules through its one
-``Bvass1.rule_index``.  Every sumset, of counter values and of residues
-alike, goes through ``_sumset``.
+the residue tables never replay and log nothing.  The kernel and R's
+fixpoint apply the system's rules through its one ``Bvass1.rule_index``.
+Every sumset, of counter values and of residues alike, goes through
+``_sumset``.
 """
 from __future__ import annotations
 
@@ -427,56 +427,6 @@ def residue_reachable(query: ResidueQuery, budget: Budget | None = None) -> tupl
 # window cache and the max-coverable profile
 
 
-def _sup_bounds(system: Bvass1, clamp: int) -> tuple[list[int], list[int]]:
-    """Per-state bounds on the largest reachable counter, clamped.
-
-    Returns (lower, upper) with -1 for states with empty reach sets.
-    lower[q] is a value such that every m <= lower[q] is coverable;
-    upper[q] is at least min(sup reach(q), clamp).  The two runs differ
-    only in how a clamped operand propagates through a +1 unary step:
-    the upper run keeps the clamp, the lower run subtracts anyway.
-    Between the two, coverable(q, m) for m < clamp is decided exactly
-    except in the gap (lower, upper], closed by ``ResidueCache.max_coverable``.
-    """
-    nq = system.num_states
-    up, by_left, by_right, loops = system.rule_index
-
-    def run(optimistic: bool) -> list[int]:
-        vals = [-1] * nq
-        queue: deque[int] = deque()
-        queued = [False] * nq
-
-        def relax(q: int, v: int) -> None:
-            v = min(v, clamp)
-            if v <= vals[q]:
-                return
-            # a (q,-1,q) loop climbs without limit from any reachable value
-            vals[q] = clamp if loops[q][1] is not None else v
-            if not queued[q]:
-                queued[q] = True
-                queue.append(q)
-
-        for f in system.finals:
-            relax(f, 0)
-        while queue:
-            p = queue.popleft()
-            queued[p] = False
-            vp = vals[p]
-            for (src, z, _) in up[p]:
-                if optimistic and vp == clamp:
-                    cand = clamp
-                else:
-                    cand = vp - z
-                if cand >= 0:
-                    relax(src, cand)
-            for (src, sibling, _) in by_left[p] + by_right[p]:
-                if vals[sibling] >= 0:
-                    relax(src, vp + vals[sibling])
-        return vals
-
-    return run(False), run(True)
-
-
 class ResidueCache:
     """Shares residue tables across queries with the same modulus.
 
@@ -493,33 +443,38 @@ class ResidueCache:
         self.budget = budget
         self._tables: dict[tuple[int, int], ResidueTable] = {}
 
-    def query(self, state: int, n0: int, d: int) -> bool:
-        window = (n0 // d) * d
-        key = (d, window)
+    def _table(self, state: int, n0: int, d: int) -> ResidueTable:
+        """The table at n0's window base, built on first use."""
+        key = (d, (n0 // d) * d)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = compute_table(ResidueQuery(self.system, state, window, d), self.budget)
-        return table.answers(state, n0)
+            table = self._tables[key] = compute_table(ResidueQuery(self.system, state, key[1], d), self.budget)
+        return table
+
+    def query(self, state: int, n0: int, d: int) -> bool:
+        return self._table(state, n0, d).answers(state, n0)
 
     def max_coverable(self, clamp: int) -> list[int]:
         """Per state, the largest n <= clamp with some q(m), m >= n, reachable.
 
-        -1 marks an empty reach set.  Each gap (lower, upper] left by
-        ``_sup_bounds`` is bisected with modulus-1 queries, upper end first
-        (it is usually exact); one table at n answers every state at n.
+        -1 marks an empty reach set.  One modulus-1 table at window base
+        clamp gives the whole profile: clamp for a state it answers at
+        clamp, the highest S bit for any other.  That bit is exact.  Such
+        a state q reaches no value >= clamp, so its reach set is empty or
+        has a largest value m < clamp.  Take a derivation of q(m) with
+        s(a) above s(b) on one path.  If b > a, grafting s(b)'s subtree at
+        s(a) raises every node above by b - a, so q(m + b - a) is
+        reachable; if b < a, grafting s(a)'s subtree at s(b) gives
+        q(m + a - b).  So b = a, and that graft shortens the tree.  A
+        shortest derivation of q(m) thus repeats no state on a path, and
+        as a child's counter is at most its parent's plus 1, its counters
+        stay within m + |Q| - 1, below the table's cap clamp + |Q|: S
+        holds m.
         """
-        lower, upper = _sup_bounds(self.system, clamp)
-        best = []
-        for q, (lo, hi) in enumerate(zip(lower, upper)):
-            n = hi
-            while lo < hi:
-                if self.query(q, n, 1):
-                    lo = n
-                else:
-                    hi = n - 1
-                n = (lo + hi + 1) // 2
-            best.append(lo)
-        return best
+        if not self.system.num_states:
+            return []
+        table = self._table(0, clamp, 1)
+        return [clamp if table.answers(q, clamp) else s.bit_length() - 1 for q, s in enumerate(table.s_masks)]
 
     @property
     def tables_built(self) -> int:

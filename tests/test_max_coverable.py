@@ -15,9 +15,9 @@ from bvass1.gen import (
 )
 from bvass1.model import Bvass1, parse_bvass
 from bvass1.reach import _cyclic_states, run_batch
-from bvass1.residue import ResidueCache, _sup_bounds
+from bvass1.residue import ResidueCache, ResidueQuery, residue_reachable
 
-from helpers import disjoint_union, naive_max_coverable, random_instances, renamed
+from helpers import metamorphic_variants, naive_max_coverable, random_instances
 
 
 def _family_systems() -> list[Bvass1]:
@@ -45,8 +45,9 @@ def _profile(graph_values) -> list[int]:
     return [-1 if m is None else m for m in graph_values]
 
 
-# d3 reaches exactly 8 = |Q| + 1, so q, one +1 step below it, covers 7; the
-# upper run keeps the clamp through that step and claims 8
+# d3 reaches exactly 8 = |Q| + 1, so q, one +1 step below it, reaches 7 at
+# most: in the profile at clamp 8, d3 is the table's answer at the clamp and
+# q its highest S bit
 OVERSHOOT = """
 state f  state u  state d1  state d2  state d3  state q  state z
 final f
@@ -61,10 +62,44 @@ unary q +1 d3
 def test_profile_settles_an_overshooting_upper_bound():
     system = parse_bvass(OVERSHOOT)
     q = system.state_id("q")
-    lower, upper = _sup_bounds(system, 8)
-    assert (lower[q], upper[q]) == (7, 8)
     assert build_gain_graph(system).max_coverable[q] == 7
     assert ResidueCache(system).max_coverable(8) == naive_max_coverable(system, 8)
+    assert ResidueCache(parse_bvass("")).max_coverable(8) == []
+
+
+def _largest_values(system: Bvass1, limit: int = 256) -> list[tuple[int, int]]:
+    """(q, m) for each state q whose reach set is nonempty with largest value
+    m < limit, by bisection over fresh coverability runs."""
+    out = []
+    for q in range(system.num_states):
+        if not coverable(system, q, 0) or coverable(system, q, limit):
+            continue
+        lo, hi = 0, limit  # q covers lo and not hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if coverable(system, q, mid):
+                lo = mid
+            else:
+                hi = mid
+        out.append((q, lo))
+    return out
+
+
+def test_profile_matches_naive_scan_around_each_largest_value():
+    # at clamp m - 1 or m a state with largest value m is the table's answer
+    # at the clamp; at m + 1 it is read off its highest S bit
+    answered = read_off_s = 0
+    for system in [parse_bvass(OVERSHOOT)] + random_instances() + _family_systems():
+        largest = _largest_values(system)
+        for clamp in sorted({c for _, m in largest for c in (m - 1, m, m + 1) if c >= 0}):
+            profile = ResidueCache(system).max_coverable(clamp)
+            assert profile == naive_max_coverable(system, clamp), (system, clamp)
+            for q, m in largest:
+                if clamp in (m - 1, m):
+                    answered += profile[q] == clamp
+                elif clamp == m + 1:
+                    read_off_s += profile[q] == m
+    assert answered > 800 and read_off_s > 700, (answered, read_off_s)
 
 
 def test_engine_probe_matches_coverable():
@@ -105,38 +140,49 @@ def test_every_emitted_witness_passes_the_checker():
 
 
 # ---------------------------------------------------------------------------
-# metamorphic: renaming and disjoint union change nothing
+# metamorphic: renaming, reordering and disjoint union change nothing
 
 
-def _metamorphic_systems() -> list[Bvass1]:
-    return random_instances()[::5] + _family_systems()[::3] + _random_systems()[::2]
+def _metamorphic_cases():
+    """(system, other, its metamorphic variants with ``other``)."""
+    rng = random.Random(31)
+    systems = random_instances()[::5] + _family_systems()[::3] + _random_systems()[::2]
+    for i, system in enumerate(systems):
+        other = gen_random(6 + i % 5, 12, 3, 1 + i % 2, 8200 + i)
+        yield system, other, metamorphic_variants(system, other, rng)
+
+
+def _verdicts(system: Bvass1, states, clamp: int) -> list[tuple]:
+    """Per state: its profile value at clamp, whether it is unbounded, and
+    its cover and residue verdicts at counters around the clamp."""
+    profile = ResidueCache(system).max_coverable(clamp)
+    return [
+        (
+            profile[q],
+            unbounded_report(system, q)[0],
+            [coverable(system, q, n) for n in (0, 1, clamp - 1, clamp)],
+            [residue_reachable(ResidueQuery(system, q, n0, d))[0] for n0, d in ((1, 2), (clamp, 3))],
+        )
+        for q in states
+    ]
 
 
 def test_renaming_states_keeps_profile_and_verdicts():
-    rng = random.Random(31)
-    for system in _metamorphic_systems():
-        variant, perm = renamed(system, rng)
+    # and so does reordering the transitions
+    for system, _, variants in _metamorphic_cases():
         clamp = system.num_states + 1
-        before = ResidueCache(system).max_coverable(clamp)
-        after = ResidueCache(variant).max_coverable(clamp)
-        assert [after[perm[q]] for q in range(system.num_states)] == before
-        for q in range(system.num_states):
-            assert unbounded_report(variant, perm[q])[0] == unbounded_report(system, q)[0]
+        expected = _verdicts(system, range(system.num_states), clamp)
+        for kind, variant, where in variants:
+            if kind != "union":
+                assert _verdicts(variant, where, clamp) == expected, (kind, system)
 
 
 def test_disjoint_union_keeps_profile_and_verdicts():
-    for i, system in enumerate(_metamorphic_systems()):
-        other = gen_random(6 + i % 5, 12, 3, 1 + i % 2, 8200 + i)
-        union = disjoint_union(system, other)
+    for system, other, variants in _metamorphic_cases():
+        [(_, union, where)] = [v for v in variants if v[0] == "union"]
         clamp = union.num_states + 1
-        profile = ResidueCache(union).max_coverable(clamp)
-        k = system.num_states
-        assert profile[:k] == ResidueCache(system).max_coverable(clamp)
-        assert profile[k:] == ResidueCache(other).max_coverable(clamp)
-        for q in range(k):
-            assert unbounded_report(union, q)[0] == unbounded_report(system, q)[0]
-        for q in range(other.num_states):
-            assert unbounded_report(union, k + q)[0] == unbounded_report(other, q)[0]
+        assert _verdicts(union, where, clamp) == _verdicts(system, range(system.num_states), clamp)
+        assert _verdicts(union, range(other.num_states), clamp) == _verdicts(other, range(other.num_states), clamp)
 
 
 def test_unbounded_report_at_80_states_is_fast():
