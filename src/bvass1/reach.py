@@ -50,8 +50,10 @@ before any pump context exists, and a query bit it sets is a YES with a
 pump-free certificate.  Otherwise the query is NO when no state of its
 cone lies on a cycle, or when n is above the state's largest coverable
 value.  Only then are the cone's contexts activated on the same kernel,
-and the fixpoint resumes.  So a single query's tables are complete for
-that query alone; the batch pumps every cyclic state and is complete
+and the fixpoint resumes.  One closure over the predecessors per cone
+state answers the cycle test and is the back set its contexts watch.
+So a single query's tables are complete for that query alone; the batch
+pumps every cyclic state once its kernel has saturated, and is complete
 for all.  The kernel and every path block keep one event log
 (``residue.EventLog``): per state, one (tick, rule, bits) entry per add
 event, and a row view reads its row's part of its block's entries.  All
@@ -63,7 +65,7 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .model import (
     Bvass1,
@@ -255,54 +257,19 @@ def _closure(edges: tuple[frozenset[int], ...], start: int) -> set[int]:
     return seen
 
 
-def _cyclic_states(system: Bvass1) -> set[int]:
-    """States lying on a directed cycle of the transition graph.
+def _cyclic_states(system: Bvass1, states: Iterable[int]) -> dict[int, set[int]]:
+    """Each state of ``states`` on a directed cycle, mapped to its back set.
 
-    One iterative Tarjan pass: a state is cyclic iff its strongly
-    connected component has more than one state or it has a self-loop.
+    The back set of s is ``_closure`` over the predecessors: the states
+    with a path to s, s included.  s lies on a cycle iff one of its
+    successors is in it.
     """
-    succ = system.state_graph[0]
-    nq = system.num_states
-    index = [-1] * nq
-    low = [0] * nq
-    on_stack = [False] * nq
-    comp: list[int] = []
-    out: set[int] = set()
-    visited = 0
-    for root in range(nq):
-        if index[root] >= 0:
-            continue
-        work: list[tuple[int, Optional[Iterator[int]]]] = [(root, None)]
-        while work:
-            q, it = work[-1]
-            if it is None:  # first visit
-                index[q] = low[q] = visited
-                visited += 1
-                comp.append(q)
-                on_stack[q] = True
-                it = iter(succ[q])
-                work[-1] = (q, it)
-            for p in it:
-                if index[p] < 0:
-                    work.append((p, None))
-                    break
-                if on_stack[p]:
-                    low[q] = min(low[q], index[p])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[q])
-                if low[q] == index[q]:
-                    members = []
-                    while True:
-                        p = comp.pop()
-                        on_stack[p] = False
-                        members.append(p)
-                        if p == q:
-                            break
-                    if len(members) > 1 or q in succ[q]:
-                        out.update(members)
+    succ, pred = system.state_graph
+    out = {}
+    for s in states:
+        back = _closure(pred, s)
+        if not succ[s].isdisjoint(back):
+            out[s] = back
     return out
 
 
@@ -340,18 +307,17 @@ class _Block(EventLog):
     """
 
     __slots__ = (
-        "state", "m_lo", "stride", "first", "back", "masks", "log", "pending", "probed",
+        "state", "m_lo", "stride", "first", "masks", "log", "pending", "probed",
         "rep", "window", "cut", "below",
     )
 
     def __init__(self, state: int, m_lo: int, rows: int, layout: tuple[int, int, int, int], first: int,
-                 num_states: int, back: set[int]):
+                 num_states: int):
         self.state = state
         self.m_lo = m_lo
         # the masks that depend only on the row count and B, shared by blocks
         self.stride, self.rep, self.window, self.cut = layout
         self.first = first  # index of row 0's view in ``FixpointTables.contexts``
-        self.back = back  # states with a path to ``state``
         self.masks = [0] * num_states
         self.log: list[list[tuple[int, tuple, int]]] = [[] for _ in range(num_states)]
         self.pending = [0] * num_states  # nonzero exactly while (block, state) is queued
@@ -373,10 +339,6 @@ class _Row:
     @property
     def state(self) -> int:
         return self.block.state
-
-    @property
-    def back(self) -> set[int]:
-        return self.block.back
 
     @property
     def masks(self) -> list[int]:
@@ -408,11 +370,11 @@ class FixpointTables:
     contexts of some states on the same kernel and resumes the fixpoint:
     the pump rules add to the kernel, its queue and clock carry the path
     events too, and the residue cache, budget and reach window are the
-    ones the kernel had.  The constructor pumps ``context_states`` right
-    away; run_batch passes every cyclic state there, run_query none.
-    A pumped state's contexts are rows of packed ``_Block`` tables, and
-    ``contexts`` holds one ``_Row`` view per context, indexed as the pump
-    rules on the reach table name them.
+    ones the kernel had.  The constructor pumps nothing: run_batch pumps
+    every cyclic state, run_query the cone's when steps 1 and 2 leave the
+    query open.  A pumped state's contexts are rows of packed ``_Block``
+    tables, and ``contexts`` holds one ``_Row`` view per context, indexed
+    as the pump rules on the reach table name them.
 
     ``holds(q, n)`` answers reachability for n up to ``complete_to`` when
     every cyclic state of q's cone has been pumped, as run_batch does for
@@ -421,14 +383,7 @@ class FixpointTables:
     fixpoint``, or one of run_query's refutations.
     """
 
-    def __init__(
-        self,
-        system: Bvass1,
-        bound: int,
-        complete_to: int,
-        context_states: set[int],
-        budget: Budget,
-    ):
+    def __init__(self, system: Bvass1, bound: int, complete_to: int, budget: Budget):
         self.system = system
         self.bound = bound
         self.complete_to = complete_to
@@ -451,8 +406,6 @@ class FixpointTables:
         self.reach_masks = self.reach.masks
         self.reason = KERNEL
         self._run()
-        if context_states:
-            self.pump(context_states)
 
     def profile(self) -> list[int]:
         """Per state, the largest coverable value up to bound + 1 (-1: none)."""
@@ -460,28 +413,27 @@ class FixpointTables:
             self.max_cover = self.residue_cache.max_coverable(self.bound + 1)
         return self.max_cover
 
-    def pump(self, context_states: set[int]) -> None:
-        """Activate the pump contexts of ``context_states`` and resume the fixpoint."""
+    def pump(self, cyclic: dict[int, set[int]]) -> None:
+        """Activate the pump contexts of the states of ``cyclic`` and resume
+        the fixpoint; ``cyclic`` maps each to its back set (``_cyclic_states``)."""
         self.reason = PUMP_FIXPOINT
-        self._activate_contexts(context_states)
+        self._activate_contexts(cyclic)
         self._run()
 
     # -- setup
 
-    def _activate_contexts(self, context_states: set[int]) -> None:
+    def _activate_contexts(self, cyclic: dict[int, set[int]]) -> None:
         """One block per run of leaf counters of each state, each charged its
         whole window, |Q| x its width, when it is built."""
         system = self.system
         nq = system.num_states
         bound = self.bound
-        pred = system.state_graph[1]
         top_of = self.profile()
         stride = 2 * bound + 2
         cut = (1 << (bound + 1)) - 1
         per_block = max(1, _BLOCK_BITS // stride)
         layouts: dict[int, tuple[int, int, int, int]] = {}  # row count -> (stride, rep, window, cut)
-        for s in sorted(context_states):
-            back = _closure(pred, s)
+        for s, back in sorted(cyclic.items()):
             top = min(top_of[s], bound)
             for m_lo in range(1, top + 1, per_block):
                 rows = min(per_block, top + 1 - m_lo)
@@ -490,7 +442,7 @@ class FixpointTables:
                 if layout is None:
                     rep = sum(1 << (r * stride) for r in range(rows))
                     layout = layouts[rows] = (stride, rep, rep * cut, cut)
-                block = _Block(s, m_lo, rows, layout, len(self.contexts), nq, back)
+                block = _Block(s, m_lo, rows, layout, len(self.contexts), nq)
                 self.contexts += [_Row(block, r) for r in range(rows)]
                 for i, (src, left, right) in enumerate(system.branching):
                     if left in back:
@@ -633,16 +585,16 @@ def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> Fixpoin
     """
     system = query.system
     state, n = query.state, query.n
-    tables = FixpointTables(system, query.bound, n, set(), Budget(budget))
+    tables = FixpointTables(system, query.bound, n, Budget(budget))
     if tables.holds(state, n):
         return tables
-    context_states = _cyclic_states(system) & _closure(system.state_graph[0], state)
-    if not context_states:
+    cyclic = _cyclic_states(system, _closure(system.state_graph[0], state))
+    if not cyclic:
         tables.reason = NO_CYCLE
     elif n > tables.profile()[state]:
         tables.reason = f"{ABOVE_COVERABLE} {tables.max_cover[state]}"
     else:
-        tables.pump(context_states)
+        tables.pump(cyclic)
     return tables
 
 
@@ -657,7 +609,11 @@ def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) ->
     """
     if nmax < 0:
         raise ValueError("nmax must be a natural number")
-    return FixpointTables(system, reach_bound(system, nmax), nmax, _cyclic_states(system), Budget(budget))
+    tables = FixpointTables(system, reach_bound(system, nmax), nmax, Budget(budget))
+    cyclic = _cyclic_states(system, range(system.num_states))
+    if cyclic:
+        tables.pump(cyclic)
+    return tables
 
 
 def decide_reach(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> bool:
@@ -1018,12 +974,7 @@ def _witness_value_scan(
         cap *= 2
 
 
-def expand_certificate(
-    system: Bvass1,
-    certificate: Certificate,
-    max_nodes: int,
-    search_cap: int = DEFAULT_WITNESS_CAP,
-) -> PartialTree:
+def expand_certificate(system: Bvass1, certificate: Certificate, max_nodes: int) -> PartialTree:
     """Unroll every pump into concrete segments, giving a full derivation tree.
 
     The defs are first written out under their grafts.  Each pumped leaf
@@ -1033,7 +984,8 @@ def expand_certificate(
     are), and a derivation tree for the witness value, replayed straight
     under its final address, closes the last copy.  Deeper anchors are
     processed first, so each pump is unrolled exactly once and later
-    copies duplicate finished subtrees.
+    copies duplicate finished subtrees.  The search for a witness value
+    gives up at counters above ``DEFAULT_WITNESS_CAP``.
     """
     sizes = _def_sizes(certificate.defs)
     grafts = certificate.grafts
@@ -1046,9 +998,7 @@ def expand_certificate(
         anchor = rec.anchor
         d = rec.modulus
         leaf_cfg = labels[leaf]
-        value, witness, cap_prev = _witness_value_scan(
-            system, leaf_cfg.state, leaf_cfg.counter, d, search_cap
-        )
+        value, witness, cap_prev = _witness_value_scan(system, leaf_cfg.state, leaf_cfg.counter, d, DEFAULT_WITNESS_CAP)
         k = (value - leaf_cfg.counter) // d
 
         # cheap overflow bounds before any replay: a derivation missing from

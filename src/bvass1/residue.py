@@ -7,14 +7,12 @@ for everything above:
 
 - S: configurations with a derivation tree entirely inside [0, cap];
 - R0: residues of root values >= cap whose root step lands in S;
-- R: closure of R0 upward through the transitions, modulo d;
-- X: R joined with the residues of S-values in [n0, cap].
+- R: closure of R0 upward through the transitions, modulo d.
 
-X then contains (q, n mod d) exactly for the reachable n >= n0, which
-answers the query by one membership test.  S is read first: a value of
-q in S within [n0, cap] and congruent to n0 is already a witness, and a
-query that S answers never builds R0, R or X (a table builds them on
-first read).
+Some n >= n0 with n ≡ n0 (mod d) is reachable at q exactly when S holds
+one within [n0, cap] or R holds (q, n0 mod d), so the query is one test
+of each.  S is read first, and a query that S answers never builds R0
+or R (a table builds them on first read).
 
 Value sets are packed into Python integers, one bit per counter value
 (or per residue class); the fixpoints are semi-naive worklists over
@@ -89,9 +87,8 @@ class ResidueTable:
 
     ``s_masks[q]`` has bit m set iff q(m) has a cap-bounded derivation;
     the residue masks have bit r set for residue class r modulo d.  Only
-    S is built with the table: R0, R, X and the round count of R's
-    fixpoint are built on first read, which a query that S answers never
-    makes.
+    S is built with the table: R0, R and the round count of R's fixpoint
+    are built on first read, which a query that S answers never makes.
     """
 
     query: ResidueQuery
@@ -118,23 +115,17 @@ class ResidueTable:
     def iterations(self) -> int:
         return self._closure[1]
 
-    @cached_property
-    def x_masks(self) -> tuple[int, ...]:
-        d, n0, cap = self.query.d, self.query.n0, self.cap
-        window = ((1 << (cap - n0 + 1)) - 1) << n0  # values n0..cap
-        return tuple(r | _fold_mod(s & window, d) for r, s in zip(self.r_masks, self.s_masks))
-
     def answers(self, state: int, n0: int) -> bool:
         """Is state(n) reachable for some n >= n0 with n ≡ n0 (mod d)?
 
         Valid for n0 in [W, W + d) with W the query's n0: a witness in
         [W, n0) congruent to n0 would lie less than d below it.  S is
-        read first, for a witness in [n0, cap]; X only when it has none.
+        read first, for a witness in [n0, cap]; R only when it has none.
         """
         d = self.query.d
         if _fold_mod(self.s_masks[state] >> n0, d) & 1:
             return True
-        return bool((self.x_masks[state] >> (n0 % d)) & 1)
+        return bool((self.r_masks[state] >> (n0 % d)) & 1)
 
     @property
     def holds(self) -> bool:
@@ -405,9 +396,10 @@ def _r_fixpoint(
 
 
 def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueTable:
-    """Build S for one query; R0, R and X follow on first read.
+    """Build S for one query; R0 and R follow on first read.
 
-    The budget is charged up front for every set the table may build.
+    The budget is charged up front, |Q|·(3d + cap + 1) entries, an upper
+    bound on the sets the table may build: S, R0 and R take cap + 1 + 2d.
     """
     system = query.system
     d, cap = query.d, query.cap

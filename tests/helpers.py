@@ -414,6 +414,20 @@ def naive_r_rounds(
         r = grown
 
 
+def x_masks(table) -> tuple[int, ...]:
+    """X of a residue table: per state, R joined with the residues of its
+    S values in [n0, cap].  X holds (q, n0 mod d) exactly when q reaches
+    some n >= n0 congruent to n0 modulo d."""
+    d, n0 = table.query.d, table.query.n0
+    out = []
+    for r, s in zip(table.r_masks, table.s_masks):
+        for v in range(n0, table.cap + 1):
+            if (s >> v) & 1:
+                r |= 1 << (v % d)
+        out.append(r)
+    return tuple(out)
+
+
 def mask_pairs(masks) -> frozenset[tuple[int, int]]:
     """{(q, m) : bit m of masks[q]}: a residue table's S, R0, R or X as a set."""
     out = set()
@@ -659,15 +673,22 @@ def disjoint_union(system: Bvass1, other: Bvass1) -> Bvass1:
 
 def metamorphic_variants(system: Bvass1, other: Bvass1, rng: random.Random) -> list[tuple[str, Bvass1, list[int]]]:
     """(kind, variant, where) with ``where[q]`` the id of q in the variant:
-    states renamed and shuffled, transitions reordered, and the disjoint
-    union with ``other`` placed first, so every id of ``system`` moves."""
+    states renamed and shuffled, transitions reordered, the disjoint union
+    with ``other`` placed first, so every id of ``system`` moves, and
+    ``other``'s states added after ``system``'s with one transition from
+    one of them into ``system``.  No state of ``system`` reaches the added
+    states, but they have a path to some of its states."""
+    nq, k = system.num_states, other.num_states
     shuffled_unary, shuffled_branching = list(system.unary), list(system.branching)
     rng.shuffle(shuffled_unary)
     rng.shuffle(shuffled_branching)
     reordered = Bvass1(system.state_names, tuple(shuffled_unary), tuple(shuffled_branching), system.finals)
-    k = other.num_states
-    return [
+    variants = [
         ("rename", *renamed(system, rng)),
-        ("reorder", reordered, list(range(system.num_states))),
-        ("union", disjoint_union(other, system), [q + k for q in range(system.num_states)]),
+        ("reorder", reordered, list(range(nq))),
+        ("union", disjoint_union(other, system), [q + k for q in range(nq)]),
     ]
+    joined = disjoint_union(system, other)
+    entry = UnaryTransition(nq + rng.randrange(k), rng.choice((-1, 0, 1)), rng.randrange(nq))
+    added = Bvass1(joined.state_names, joined.unary + (entry,), joined.branching, joined.finals)
+    return variants + [("added", added, list(range(nq)))]

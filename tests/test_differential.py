@@ -30,6 +30,7 @@ from bvass1.reach import (
     Certificate,
     PumpRecord,
     ReachQuery,
+    _closure,
     _cyclic_states,
     certificate_from_text,
     certificate_to_text,
@@ -278,7 +279,11 @@ def _family_systems():
 
 def test_cyclic_states_match_naive_on_every_family():
     for system in _family_systems():
-        assert _cyclic_states(system) == naive_cyclic_states(system)
+        cyclic = naive_cyclic_states(system)
+        assert set(_cyclic_states(system, range(system.num_states))) == cyclic
+        # run_query's call: the cyclic states of one state's cone
+        cone = _closure(system.state_graph[0], 0)
+        assert set(_cyclic_states(system, cone)) == cyclic & cone
 
 
 def test_state_graph_and_pump_context_backward_sets_match_naive():
@@ -319,9 +324,11 @@ def test_state_graph_and_pump_context_backward_sets_match_naive():
                         stack.append(r)
             return q == s or s in seen
 
+        cyclic = _cyclic_states(system, range(nq))
+        for s, back in cyclic.items():
+            assert back == {q for q in range(nq) if reaches(q, s)}
         for ctx in run_batch(system, 2).contexts:
-            assert ctx.back == {q for q in range(nq) if reaches(q, ctx.state)}
             # a row view's path bits lie at states with a path to its state
-            assert {q for q, mask in enumerate(ctx.masks) if mask} <= ctx.back
+            assert {q for q, mask in enumerate(ctx.masks) if mask} <= cyclic[ctx.state]
             checked += 1
     assert checked > 1000, checked

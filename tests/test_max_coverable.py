@@ -103,7 +103,7 @@ def test_profile_matches_naive_scan_around_each_largest_value():
 
 
 def test_engine_probe_matches_coverable():
-    systems = [s for s in random_instances()[::25] + _random_systems()[::10] if _cyclic_states(s)]
+    systems = [s for s in random_instances()[::25] + _random_systems()[::10] if _cyclic_states(s, range(s.num_states))]
     assert len(systems) > 20
     for system in systems:
         tables = run_batch(system, 1)
@@ -123,7 +123,7 @@ def test_engine_profile_matches_naive_scan_at_bound_plus_one():
     systems = random_instances()[::10] + _family_systems()[::2] + _random_systems()[::4]
     for i, system in enumerate(systems):
         tables = run_batch(system, i % 4)
-        expected = naive_max_coverable(system, tables.bound + 1) if _cyclic_states(system) else []
+        expected = naive_max_coverable(system, tables.bound + 1) if _cyclic_states(system, range(system.num_states)) else []
         assert tables.max_cover == expected
 
 
@@ -140,7 +140,7 @@ def test_every_emitted_witness_passes_the_checker():
 
 
 # ---------------------------------------------------------------------------
-# metamorphic: renaming, reordering and disjoint union change nothing
+# metamorphic: renaming, reordering, disjoint union and added states change nothing
 
 
 def _metamorphic_cases():
@@ -173,7 +173,7 @@ def test_renaming_states_keeps_profile_and_verdicts():
         clamp = system.num_states + 1
         expected = _verdicts(system, range(system.num_states), clamp)
         for kind, variant, where in variants:
-            if kind != "union":
+            if kind in ("rename", "reorder"):
                 assert _verdicts(variant, where, clamp) == expected, (kind, system)
 
 
@@ -183,6 +183,14 @@ def test_disjoint_union_keeps_profile_and_verdicts():
         clamp = union.num_states + 1
         assert _verdicts(union, where, clamp) == _verdicts(system, range(system.num_states), clamp)
         assert _verdicts(union, range(other.num_states), clamp) == _verdicts(other, range(other.num_states), clamp)
+
+
+def test_added_states_keep_profile_and_verdicts():
+    # no state of the system reaches the added ones, which have a path into it
+    for system, _, variants in _metamorphic_cases():
+        [(_, added, where)] = [v for v in variants if v[0] == "added"]
+        clamp = added.num_states + 1
+        assert _verdicts(added, where, clamp) == _verdicts(system, range(system.num_states), clamp)
 
 
 def test_unbounded_report_at_80_states_is_fast():

@@ -405,7 +405,8 @@ def test_query_verdicts_equal_the_complete_fixpoint():
 
 def test_run_query_is_invariant_under_renaming_reordering_and_union():
     # renaming and reordering keep the verdict and the step that decided it;
-    # the union's B grows with |Q|, so its kernel may decide what pumped before
+    # the union's B grows with |Q|, so its kernel may decide what pumped
+    # before, and so may that of the added states, which enter back sets
     rng = random.Random(16)
     instances = random_instances()
     reasons, certified = set(), 0
@@ -421,7 +422,7 @@ def test_run_query_is_invariant_under_renaming_reordering_and_union():
                     query = ReachQuery(variant, where[state], n)
                     tables = run_query(query)
                     assert tables.holds(query.state, n) == verdict, (kind, system, state, n)
-                    moved = kind == "union" and verdict and tables.reason == KERNEL
+                    moved = kind in ("union", "added") and verdict and tables.reason == KERNEL
                     assert tables.reason == base.reason or moved, (kind, system, state, n)
                     if verdict:
                         cert = extract_certificate(query, tables)
@@ -548,6 +549,33 @@ def test_expand_pumped_certificate_to_full_tree():
     expanded = expand_certificate(system, cert, max_nodes=10_000)
     assert is_reachability_tree(system, expanded)
     assert expanded.labels[""] == Config(query.state, 0)
+
+
+# s climbs by 2 through p, and leaves for the hub only at s(32); B = 20 + n
+# lies below 32 for n < 12, so s(n) needs a pump of gap 2 (at gen_doubling(4)
+# the climb to 16 fits under B and the kernel answers instead)
+EVEN_CLIMB = format_bvass(gen_doubling(5)) + "state s\nstate p\nunary s +1 p\nunary p +1 s\nunary s 0 q_5\n"
+
+
+def test_modulus_two_pump_from_the_engine():
+    # the pump's residue query (s, m*, 2) goes through the residue cache;
+    # a gap of 1 would read the max-coverable profile instead
+    system = parse_bvass(EVEN_CLIMB)
+    s = system.state_id("s")
+    for n in (0, 2, 4):
+        query = ReachQuery(system, s, n)
+        tables = run_query(query)
+        assert tables.holds(s, n) and tables.reason == PUMP_FIXPOINT
+        text = certificate_to_text(system, extract_certificate(query, tables))
+        assert [line for line in text.splitlines() if line.startswith("pump ")] == ["pump 00 e 2"]
+        cert = certificate_from_text(system, text)
+        assert check_certificate_report(system, cert, Config(s, n)) == (True, "ok")
+        expanded = expand_certificate(system, cert, max_nodes=10_000)
+        assert is_reachability_tree(system, expanded)
+        assert expanded.labels[""] == Config(s, n)
+    assert not decide_reach(ReachQuery(system, s, 1))
+    batch = run_batch(system, 5)
+    assert [batch.holds(s, n) for n in range(6)] == [True, False, True, False, True, False]
 
 
 def test_expand_preserves_root_on_nonzero_query():

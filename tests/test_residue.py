@@ -37,6 +37,7 @@ from helpers import (
     mask_pairs,
     naive_r_rounds,
     random_instances,
+    x_masks,
 )
 
 
@@ -70,7 +71,7 @@ def test_root_seed_empty_on_doubling():
 def test_combined_set_is_every_state_at_residue_zero():
     system = b2()
     table = compute_table(_q(system, "q", 0, 1))
-    assert mask_pairs(table.x_masks) == {(q, 0) for q in range(system.num_states)}
+    assert mask_pairs(x_masks(table)) == {(q, 0) for q in range(system.num_states)}
     assert table.holds
 
 
@@ -88,7 +89,7 @@ def test_loop_root_seed_and_answer():
     a, f = system.state_id("a"), system.state_id("f")
     table = compute_table(_q(system, "a", 0, 1))
     assert (a, 0) in mask_pairs(table.r0_masks)
-    assert mask_pairs(table.x_masks) == {(a, 0), (f, 0)}
+    assert mask_pairs(x_masks(table)) == {(a, 0), (f, 0)}
     assert table.holds
 
 
@@ -180,7 +181,7 @@ def test_pipeline_matches_literal_sets(num_states, num_unary, num_branching, see
     assert r0 == compute_R0(query, s)
     r = mask_pairs(table.r_masks)
     assert (r, table.iterations) == naive_r_rounds(system, s, r0, d)
-    assert r0 <= r <= mask_pairs(table.x_masks)
+    assert r0 <= r <= mask_pairs(x_masks(table))
     assert 1 <= table.iterations <= table.big_n
     if not r0:
         assert table.iterations == 1
@@ -267,7 +268,7 @@ def _gen_family_systems():
 
 
 def _x_reading(table, state: int, n0: int) -> bool:
-    return bool((table.x_masks[state] >> (n0 % table.query.d)) & 1)
+    return bool((x_masks(table)[state] >> (n0 % table.query.d)) & 1)
 
 
 def test_answers_equal_the_full_x_reading():
@@ -282,7 +283,7 @@ def test_answers_equal_the_full_x_reading():
             table = compute_table(ResidueQuery(system, state, n0, d), budget)
             assert budget.used == nq * (3 * d + table.cap + 1)
             answer = table.holds
-            from_s = "x_masks" not in vars(table)
+            from_s = "_closure" not in vars(table)
             assert answer == _x_reading(table, state, n0)
             beyond_s += answer and not from_s
             s, r0 = mask_pairs(table.s_masks), mask_pairs(table.r0_masks)
@@ -302,7 +303,7 @@ def test_s_answered_query_leaves_r_unbuilt():
     system = b2()
     yes = compute_table(_q(system, "q", 1, 2))  # q(1) lies in S
     assert yes.holds
-    assert not {"r0_masks", "_closure", "x_masks"} & set(vars(yes))
+    assert not {"r0_masks", "_closure"} & set(vars(yes))
     no = compute_table(_q(system, "q_2", 5, 1))  # q_2 reaches only 4
     assert not no.holds
-    assert {"r0_masks", "_closure", "x_masks"} <= set(vars(no))
+    assert {"r0_masks", "_closure"} <= set(vars(no))
