@@ -92,7 +92,7 @@ def check_unbounded_witness(
     Checks the walk shape, the first-occurrence condition, coverability
     of every transition target at zero, the side values against fresh
     coverability queries, and the positive-gain sum.  The coverability
-    tables are charged to ``budget`` when one is given.
+    tables are charged to ``budget``, a fresh ``Budget()`` when none is given.
     """
     states, trans = witness.states, witness.transitions
     k = len(trans)

@@ -50,9 +50,8 @@ before any pump context exists, and a query bit it sets is a YES with a
 pump-free certificate.  Otherwise the query is NO when no state of its
 cone lies on a cycle, or when n is above the state's largest coverable
 value.  Only then are the cone's contexts activated on the same kernel,
-and the fixpoint resumes.  One closure over the predecessors per cone
-state answers the cycle test and is the back set its contexts watch.
-So a single query's tables are complete for that query alone; the batch
+and the fixpoint resumes, every path rule read off ``rule_index``.  So
+a single query's tables are complete for that query alone; the batch
 pumps every cyclic state once its kernel has saturated, and is complete
 for all.  The kernel and every path block keep one event log
 (``residue.EventLog``): per state, one (tick, rule, bits) entry per add
@@ -257,20 +256,14 @@ def _closure(edges: tuple[frozenset[int], ...], start: int) -> set[int]:
     return seen
 
 
-def _cyclic_states(system: Bvass1, states: Iterable[int]) -> dict[int, set[int]]:
-    """Each state of ``states`` on a directed cycle, mapped to its back set.
+def _cyclic_states(system: Bvass1, states: Iterable[int]) -> list[int]:
+    """The states of ``states`` on a directed cycle, sorted.
 
-    The back set of s is ``_closure`` over the predecessors: the states
-    with a path to s, s included.  s lies on a cycle iff one of its
-    successors is in it.
+    s lies on a cycle iff one of its successors is in ``_closure`` over
+    the predecessors of s, the states with a path to s.
     """
     succ, pred = system.state_graph
-    out = {}
-    for s in states:
-        back = _closure(pred, s)
-        if not succ[s].isdisjoint(back):
-            out[s] = back
-    return out
+    return sorted(s for s in states if not succ[s].isdisjoint(_closure(pred, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +293,10 @@ class _Block(EventLog):
     mask (bits <= B) keeps each row's sums (<= 2B) below the next row, so
     one add event advances every row of the block.  Bits outside a row's
     [0, B] are dropped through ``window`` (``cut`` within one row).
-    ``below`` holds each row's counters below its m*: the anchor
-    candidates, and the bits a path may not take at the state itself.
-    ``rep`` copies a reach mask into every row.  The log entries carry
-    packed bits; ``_Row`` reads one row.
+    ``below`` holds each row's counters below its m*: at the state itself
+    these are the anchor candidates, never path bits.  ``rep`` copies a
+    reach mask into every row.  The log entries carry packed bits; ``_Row``
+    reads one row.
     """
 
     __slots__ = (
@@ -311,12 +304,13 @@ class _Block(EventLog):
         "rep", "window", "cut", "below",
     )
 
-    def __init__(self, state: int, m_lo: int, rows: int, layout: tuple[int, int, int, int], first: int,
-                 num_states: int):
+    def __init__(self, state: int, m_lo: int, rows: int, bound: int, first: int, num_states: int):
         self.state = state
         self.m_lo = m_lo
-        # the masks that depend only on the row count and B, shared by blocks
-        self.stride, self.rep, self.window, self.cut = layout
+        self.stride = 2 * bound + 2
+        self.rep = sum(1 << (r * self.stride) for r in range(rows))
+        self.cut = (1 << (bound + 1)) - 1
+        self.window = self.rep * self.cut
         self.first = first  # index of row 0's view in ``FixpointTables.contexts``
         self.masks = [0] * num_states
         self.log: list[list[tuple[int, tuple, int]]] = [[] for _ in range(num_states)]
@@ -372,9 +366,10 @@ class FixpointTables:
     events too, and the residue cache, budget and reach window are the
     ones the kernel had.  The constructor pumps nothing: run_batch pumps
     every cyclic state, run_query the cone's when steps 1 and 2 leave the
-    query open.  A pumped state's contexts are rows of packed ``_Block``
-    tables, and ``contexts`` holds one ``_Row`` view per context, indexed
-    as the pump rules on the reach table name them.
+    query open.  A pumped state's contexts are rows of the packed
+    ``_Block`` tables in ``blocks``, and ``contexts`` holds one ``_Row``
+    view per context, indexed as the pump rules on the reach table name
+    them.
 
     ``holds(q, n)`` answers reachability for n up to ``complete_to`` when
     every cyclic state of q's cone has been pumped, as run_batch does for
@@ -396,10 +391,9 @@ class FixpointTables:
         # the reach masks' window, charged before they exist
         budget.charge(nq * (bound + 1))
 
-        # one view per pump context (state, m*), rows of the packed blocks
+        # the packed path tables, and one view per pump context (state, m*)
+        self.blocks: list[_Block] = []
         self.contexts: list[_Row] = []
-        # reach-delta watchers: state -> [(block, source, path child, rule, pump rule tail)]
-        self._pb_watch: list[list[tuple[_Block, int, int, tuple, tuple]]] = [[] for _ in range(nq)]
 
         # one queue for both tables: reach keys are states, path keys (block, state)
         self.reach = BoundedReach(system, bound, justify=True)
@@ -413,45 +407,28 @@ class FixpointTables:
             self.max_cover = self.residue_cache.max_coverable(self.bound + 1)
         return self.max_cover
 
-    def pump(self, cyclic: dict[int, set[int]]) -> None:
-        """Activate the pump contexts of the states of ``cyclic`` and resume
-        the fixpoint; ``cyclic`` maps each to its back set (``_cyclic_states``)."""
+    def pump(self, states: list[int]) -> None:
+        """Activate the pump contexts of ``states``, the cyclic states
+        (``_cyclic_states``), and resume the fixpoint.  Each state gets one
+        block per run of leaf counters, each charged its whole window, |Q|
+        x its width, when it is built."""
         self.reason = PUMP_FIXPOINT
-        self._activate_contexts(cyclic)
-        self._run()
-
-    # -- setup
-
-    def _activate_contexts(self, cyclic: dict[int, set[int]]) -> None:
-        """One block per run of leaf counters of each state, each charged its
-        whole window, |Q| x its width, when it is built."""
-        system = self.system
-        nq = system.num_states
-        bound = self.bound
+        nq = self.system.num_states
         top_of = self.profile()
-        stride = 2 * bound + 2
-        cut = (1 << (bound + 1)) - 1
+        stride = 2 * self.bound + 2
         per_block = max(1, _BLOCK_BITS // stride)
-        layouts: dict[int, tuple[int, int, int, int]] = {}  # row count -> (stride, rep, window, cut)
-        for s, back in sorted(cyclic.items()):
-            top = min(top_of[s], bound)
+        for s in states:
+            top = min(top_of[s], self.bound)
             for m_lo in range(1, top + 1, per_block):
                 rows = min(per_block, top + 1 - m_lo)
                 self.budget.charge(nq * rows * stride)
-                layout = layouts.get(rows)
-                if layout is None:
-                    rep = sum(1 << (r * stride) for r in range(rows))
-                    layout = layouts[rows] = (stride, rep, rep * cut, cut)
-                block = _Block(s, m_lo, rows, layout, len(self.contexts), nq)
+                block = _Block(s, m_lo, rows, self.bound, len(self.contexts), nq)
+                self.blocks.append(block)
                 self.contexts += [_Row(block, r) for r in range(rows)]
-                for i, (src, left, right) in enumerate(system.branching):
-                    if left in back:
-                        self._pb_watch[right].append((block, src, left, ("branch", i, 0), (i, 0)))
-                    if right in back:
-                        self._pb_watch[left].append((block, src, right, ("branch", i, 1), (i, 1)))
                 # row r's leaf s(m_lo + r), at bit r·W + m_lo + r
                 seed = sum(1 << (r * (stride + 1) + m_lo) for r in range(rows))
                 self._add_p(block, s, seed, ("self",))
+        self._run()
 
     # -- residue probes
 
@@ -460,32 +437,35 @@ class FixpointTables:
             return n0 <= self.max_cover[state]
         return self.residue_cache.query(state, n0, d)
 
-    # -- table updates
-
-    def _add_p(self, block: _Block, q: int, bits: int, just: tuple) -> None:
-        bits &= block.window
-        if q == block.state:
-            # interior path nodes must not sit below the leaf counter,
-            # or the leaf's deepest smaller ancestor moves off the anchor
-            bits &= ~block.below
-        new = bits & ~block.masks[q]
-        if not new:
-            return
-        block.masks[q] |= new
-        reach = self.reach
-        reach.tick += 1
-        block.log[q].append((reach.tick, just, new))
-        if not block.pending[q]:
-            reach.queue.append((block, q))
-        block.pending[q] |= new
-
     # -- rule application
 
-    def _fire_top(self, block: _Block, bits: int, kind: str, tail: tuple) -> None:
-        """Probe each row's anchors strictly below its leaf counter; a positive
-        probe adds the anchor's bit to the reach table by the rule
-        (kind, the row's view index, *tail)."""
-        bits &= block.below & ~block.probed
+    def _add_p(self, block: _Block, q: int, bits: int, rule: tuple) -> None:
+        """Add the bits a path rule derives at q.  At the pumped state, bits
+        below a row's leaf counter are anchors, not path nodes (the leaf's
+        deepest smaller ancestor would move off the node the path starts
+        under): they fire ``rule``'s pump rule after the path bits are logged."""
+        bits &= block.window
+        anchors = 0
+        if q == block.state:
+            anchors = bits & block.below
+            bits ^= anchors
+        new = bits & ~block.masks[q]
+        if new:
+            block.masks[q] |= new
+            reach = self.reach
+            reach.tick += 1
+            block.log[q].append((reach.tick, rule, new))
+            if not block.pending[q]:
+                reach.queue.append((block, q))
+            block.pending[q] |= new
+        if anchors:
+            self._fire_top(block, anchors, rule)
+
+    def _fire_top(self, block: _Block, bits: int, rule: tuple) -> None:
+        """Probe each row's anchors ``bits``, strictly below its leaf counter;
+        a positive probe adds the anchor's bit to the reach table by the pump
+        rule ("pump_" + rule[0], the row's view index) + rule[1:]."""
+        bits &= ~block.probed
         if not bits:
             return
         s = block.state
@@ -493,6 +473,7 @@ class FixpointTables:
         masks = reach.masks
         bits &= ~(masks[s] * block.rep)
         stride = block.stride
+        kind, tail = "pump_" + rule[0], rule[1:]
         while bits:
             low = bits & -bits
             bits ^= low
@@ -521,35 +502,29 @@ class FixpointTables:
                 self._on_path_delta(block, q, delta)
 
     def _on_reach_delta(self, q: int, delta: int) -> None:
-        """Reach bits as side branches of the path tables; the kernel has
-        already applied the reach rules."""
-        for (block, src, path_child, rule, tail) in self._pb_watch[q]:
-            pmask = block.masks[path_child]
-            if pmask:
-                bits = _sumset(delta, pmask)
-                self._add_p(block, src, bits, rule)
-                if src == block.state:
-                    self._fire_top(block, bits, "pump_branch", tail)
+        """Reach bits at q as side branches of the path tables, through q's
+        branch rules into every block with path bits at the other child;
+        the kernel has already applied the reach rules."""
+        for (src, left, (_, i)) in self.reach.by_right[q]:
+            rule = ("branch", i, 0)
+            for block in self.blocks:
+                if pmask := block.masks[left]:
+                    self._add_p(block, src, _sumset(delta, pmask), rule)
+        for (src, right, (_, i)) in self.reach.by_left[q]:
+            rule = ("branch", i, 1)
+            for block in self.blocks:
+                if pmask := block.masks[right]:
+                    self._add_p(block, src, _sumset(delta, pmask), rule)
 
     def _on_path_delta(self, block: _Block, q: int, delta: int) -> None:
         reach = self.reach
         reach_masks = self.reach_masks
-        s = block.state
         for (src, z, rule) in reach.up[q]:
-            bits = _shift_parent(delta, z)
-            self._add_p(block, src, bits, rule)
-            if src == s:
-                self._fire_top(block, bits, "pump_unary", rule[1:])
+            self._add_p(block, src, _shift_parent(delta, z), rule)
         for (src, right, (_, i)) in reach.by_left[q]:
-            bits = _sumset(delta, reach_masks[right])
-            self._add_p(block, src, bits, ("branch", i, 0))
-            if src == s:
-                self._fire_top(block, bits, "pump_branch", (i, 0))
+            self._add_p(block, src, _sumset(delta, reach_masks[right]), ("branch", i, 0))
         for (src, left, (_, i)) in reach.by_right[q]:
-            bits = _sumset(reach_masks[left], delta)
-            self._add_p(block, src, bits, ("branch", i, 1))
-            if src == s:
-                self._fire_top(block, bits, "pump_branch", (i, 1))
+            self._add_p(block, src, _sumset(reach_masks[left], delta), ("branch", i, 1))
 
     # -- results
 
@@ -878,9 +853,9 @@ def check_certificate_report(
     Shares only the model validators and the residue decision with the
     engine; in particular every pump's residue query is re-decided here,
     through one residue cache of the checker's own, whose tables are
-    charged to ``budget`` when one is given.  The defs and grafts
-    are checked first, each once; then the tree, whose graft leaves count
-    as derived, and the pumps.
+    charged to ``budget``, a fresh ``Budget()`` when none is given.  The
+    defs and grafts are checked first, each once; then the tree, whose
+    graft leaves count as derived, and the pumps.
     """
     bound = reach_bound(system, claimed.counter)
     why = _shared_parts_report(system, certificate, bound)

@@ -398,13 +398,13 @@ def _r_fixpoint(
 def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueTable:
     """Build S for one query; R0 and R follow on first read.
 
-    The budget is charged up front, |Q|·(3d + cap + 1) entries, an upper
-    bound on the sets the table may build: S, R0 and R take cap + 1 + 2d.
+    The budget (a fresh ``Budget()`` for None) is charged up front,
+    |Q|·(3d + cap + 1) entries, a bound on the sets the table may build:
+    S, R0 and R take cap + 1 + 2d.
     """
     system = query.system
     d, cap = query.d, query.cap
-    if budget is not None:
-        budget.charge(system.num_states * (3 * d + cap + 1))
+    (Budget() if budget is None else budget).charge(system.num_states * (3 * d + cap + 1))
     bounded = BoundedReach(system, cap)
     bounded.run()
     return ResidueTable(query=query, big_n=query.big_n, cap=cap, s_masks=tuple(bounded.masks))
@@ -427,12 +427,13 @@ class ResidueCache:
     l ≡ n0 (mod d) below n0 would satisfy 0 < n0 - l < d with d | n0 - l,
     which is impossible, so the witnesses of the two queries coincide.
     Keying tables by (d, W) collapses the probe storm the reachability
-    engine produces into a few dozen table builds.
+    engine produces into a few dozen table builds.  The tables are charged
+    to one budget, a fresh ``Budget()`` when none is given.
     """
 
     def __init__(self, system: Bvass1, budget: Budget | None = None):
         self.system = system
-        self.budget = budget
+        self.budget = Budget() if budget is None else budget
         self._tables: dict[tuple[int, int], ResidueTable] = {}
 
     def _table(self, state: int, n0: int, d: int) -> ResidueTable:

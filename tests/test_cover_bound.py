@@ -54,6 +54,15 @@ def test_coverable_pins():
     assert coverable(loop, loop.state_id("a"), 100)
 
 
+def test_coverable_charges_a_default_budget():
+    # without a budget the window's charge still meets the default limit,
+    # before a 10^20-bit mask is built; Budget(None) runs unlimited
+    system = parse_bvass("state q\nstate f\nfinal f\nunary q -1 q\nunary q 0 f\n")
+    with pytest.raises(BudgetExceeded):
+        coverable(system, 0, 10**20)
+    assert coverable(system, 0, 1000, Budget(None))
+
+
 def test_coverable_is_downward_closed():
     for seed in range(30):
         system = gen_random(2 + seed % 3, 2 + seed % 5, seed % 3, 1, seed)

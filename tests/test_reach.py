@@ -221,6 +221,22 @@ def test_checker_rejects_negative_residue_pump():
     assert "residue query" in why and "negative" in why
 
 
+def test_checker_charges_a_default_budget():
+    # a pump at a huge counter asks for a residue table that the default
+    # budget refuses before its 10^20-bit window is built
+    system = parse_bvass("state q\nfinal q\nunary q +1 q\n")
+
+    def pumped(n: int) -> Certificate:
+        return certificate_from_text(system, f"e q {n}\n0 q {n + 1}\npump 0 e 1\n")
+
+    with pytest.raises(BudgetExceeded):
+        check_certificate_report(system, pumped(10**20), Config(0, 10**20))
+    budget = Budget(None)  # unlimited, and charged all the same
+    ok, why = check_certificate_report(system, pumped(1000), Config(0, 1000), budget)
+    assert not ok and "residue query" in why
+    assert budget.used == 3 + 1002 + 1  # |Q|·(3d + cap + 1), one table at cap n + 2|Q|
+
+
 def test_checker_rejects_non_leaf_pump_source():
     system = loop_gadget()
     query, cert = _decide_extract(system, "a", 2)
@@ -488,6 +504,18 @@ def test_one_row_blocks_decide_as_packed_blocks(monkeypatch):
     assert certified > 100, certified
 
 
+def test_no_path_node_sits_below_the_leaf_counter():
+    # at the pumped state a path bit below m* would be a smaller ancestor
+    # between the anchor and the leaf, moving the leaf's anchor off the node
+    # the path starts under
+    rows = 0
+    for system in random_instances():
+        for ctx in run_batch(system, 6).contexts:
+            assert ctx.masks[ctx.state] & ((1 << ctx.m_star) - 1) == 0, (system, ctx.state, ctx.m_star)
+            rows += 1
+    assert rows > 4000, rows
+
+
 def test_largest_reachable_value_is_a_kernel_answer():
     # run_query's docstring: a shortest derivation of q at its largest value
     # repeats no state on a path, so step 2's boundary n > m could be n >= m
@@ -576,6 +604,47 @@ def test_modulus_two_pump_from_the_engine():
     assert not decide_reach(ReachQuery(system, s, 1))
     batch = run_batch(system, 5)
     assert [batch.holds(s, n) for n in range(6)] == [True, False, True, False, True, False]
+
+
+# s's path runs through u, one child of ``branch s u t``; its side branch
+# t(0) is a reach bit only once t's own pump (t climbs to t1 and back) has
+# fired, so the path rule on a reach delta has to add s's path bits after
+# the fact, with the path on either side of the branch
+def _side_pump(children: str) -> str:
+    return format_bvass(gen_doubling(5)) + (
+        f"state s\nstate u\nstate t\nstate t1\nunary s 0 q_5\nbranch s {children}\n"
+        "unary u +1 s\nunary t +1 t1\nunary t1 0 t\nunary t 0 q_5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "children, pumps_at_zero",
+    [("u t", ["pump 00 e 1", "pump 100 1 1"]), ("t u", ["pump 000 0 1", "pump 10 e 1"])],
+    ids=["path-left", "path-right"],
+)
+def test_side_branch_pump_reaches_the_path_through_a_reach_delta(children, pumps_at_zero):
+    system = parse_bvass(_side_pump(children))
+    s = system.state_id("s")
+    for n in (0, 1):
+        query = ReachQuery(system, s, n)
+        tables = run_query(query)
+        assert tables.holds(s, n) and tables.reason == PUMP_FIXPOINT
+        text = certificate_to_text(system, extract_certificate(query, tables))
+        pumps = [line for line in text.splitlines() if line.startswith("pump ")]
+        assert len(pumps) == 2
+        if n == 0:
+            assert pumps == pumps_at_zero
+        cert = certificate_from_text(system, text)
+        assert check_certificate_report(system, cert, Config(s, n)) == (True, "ok")
+        expanded = expand_certificate(system, cert, max_nodes=10_000)
+        assert is_reachability_tree(system, expanded)
+        assert expanded.labels[""] == Config(s, n)
+    # the oracle is exact 2|Q| below its cap
+    nmax = 40 - 2 * system.num_states
+    batch = run_batch(system, nmax)
+    reach = bounded_reach_set(system, 40)
+    for q in range(system.num_states):
+        assert [batch.holds(q, n) for n in range(nmax + 1)] == [reach.contains(q, n) for n in range(nmax + 1)], q
 
 
 def test_expand_preserves_root_on_nonzero_query():
