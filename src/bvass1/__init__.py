@@ -4,19 +4,25 @@ The package decides reachability, coverability and boundedness for
 systems whose configurations pair a control state with one natural
 counter and whose branching transitions split the counter between two
 subderivations.  Positive reachability answers come with certificates
-that a separate checker validates without rerunning the solver.
+that a separate checker (``check``) validates without rerunning the
+solver.
 """
 from __future__ import annotations
 
 from .model import (
     Bvass1,
     BranchTransition,
+    BudgetExceeded,
+    Certificate,
     Config,
     FormatError,
     NodeClassification,
     PartialTree,
     SemanticError,
     UnaryTransition,
+    Witness,
+    certificate_from_text,
+    certificate_to_text,
     classify_nodes,
     format_bvass,
     is_exclusive,
@@ -30,22 +36,17 @@ from .model import (
 )
 from .residue import ResidueCache, ResidueQuery, ResidueTable, residue_reachable
 from .reach import (
-    BudgetExceeded,
-    Certificate,
     ExpandOverflow,
     ReachQuery,
     WitnessSearchFailed,
-    certificate_from_text,
-    certificate_to_text,
-    check_certificate,
-    check_certificate_report,
     decide_reach,
     expand_certificate,
     extract_certificate,
     run_batch,
     run_query,
 )
-from .cover_bound import Witness, check_unbounded_witness, coverable, unbounded, unbounded_report
+from .cover_bound import coverable, unbounded, unbounded_report
+from .check import check_certificate, check_certificate_report, check_unbounded_witness
 
 __all__ = [
     "Bvass1",

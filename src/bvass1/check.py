@@ -1,0 +1,222 @@
+"""Independent checkers: each names the first failed clause of an artifact.
+
+They trust no engine code with an artifact and read it through ``model``
+alone, which imports nothing else from the package.  The one engine name
+imported here is ``residue.ResidueCache``: both checkers decide their
+residue and coverability questions afresh through it, its tables charged
+to a budget (``tests/test_check_imports.py`` pins these imports).
+"""
+from __future__ import annotations
+
+from .model import (
+    Budget,
+    Bvass1,
+    Certificate,
+    Config,
+    Witness,
+    _anchor_walk,
+    is_accepting,
+    reach_bound,
+    validate_partial_tree_report,
+)
+from .residue import ResidueCache
+
+
+def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -> str | None:
+    """The first failed clause of the defs and grafts, or None.
+
+    Each def is checked once, against its children's labels only; each
+    graft must name a def, sit on an unpumped leaf of the tree and carry
+    the def's label.
+    """
+    defs = certificate.defs
+    unary, branching = system.transition_sets
+    for i, (cfg, kids) in defs.items():
+        for c in kids:
+            if c not in defs:
+                return f"def {i} references unknown id {c}"
+            if c >= i:
+                return f"def {i} references id {c}, a forward reference"
+        if cfg.counter > bound:
+            return f"counter {cfg.counter} of def {i} exceeds the bound {bound}"
+        if not kids:
+            if not is_accepting(system, cfg):
+                return f"def {i} is a leaf that is not accepting"
+        elif len(kids) == 1:
+            child = defs[kids[0]][0]
+            if (cfg.state, child.counter - cfg.counter, child.state) not in unary:
+                return f"def {i}: no unary transition matches the child"
+        elif len(kids) == 2:
+            left, right = defs[kids[0]][0], defs[kids[1]][0]
+            if (cfg.state, left.state, right.state) not in branching:
+                return f"def {i}: no branching transition matches the children"
+            if left.counter + right.counter != cfg.counter:
+                return f"def {i}: children counters do not sum to the parent counter"
+        else:
+            return f"def {i} has more than two children"
+    tree = certificate.tree
+    for addr, i in certificate.grafts.items():
+        where = addr or "root"
+        if i not in defs:
+            return f"graft at {where} references unknown id {i}"
+        if addr in certificate.pumps:
+            return f"graft at {where} sits on a pumped leaf"
+        if addr not in tree.labels or not tree.is_leaf(addr):
+            return f"graft at {where} is not a leaf of the tree"
+        if tree.labels[addr] != defs[i][0]:
+            return f"graft at {where} is labelled unlike def {i}"
+    return None
+
+
+def check_certificate_report(
+    system: Bvass1, certificate: Certificate, claimed: Config, budget: Budget | None = None
+) -> tuple[bool, str]:
+    """Validate a certificate from scratch; names the first failed clause.
+
+    Shares only the model validators and the residue decision with the
+    engine; in particular every pump's residue query is re-decided here,
+    through one residue cache of the checker's own, whose tables are
+    charged to ``budget``, a fresh ``Budget()`` when none is given.  The
+    defs and grafts are checked first, each once; then the tree, whose
+    graft leaves count as derived, and the pumps.
+    """
+    bound = reach_bound(system, claimed.counter)
+    why = _shared_parts_report(system, certificate, bound)
+    if why is not None:
+        return False, why
+    tree = certificate.tree
+    if "" not in tree.labels:
+        return False, "tree has no root"
+    if tree.labels[""] != claimed:
+        return False, "root label differs from the claimed configuration"
+    ok, addr, why = validate_partial_tree_report(system, tree)
+    if not ok:
+        return False, f"invalid tree at {addr or 'root'}: {why}"
+    labels = tree.labels
+    # first violations in (length, address) order, found without sorting
+    over = min(((len(a), a) for a, cfg in labels.items() if cfg.counter > bound), default=None)
+    if over is not None:
+        a = over[1]
+        return False, f"counter {labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
+    pumps, grafts = certificate.pumps, certificate.grafts
+    stuck = min(
+        (
+            (len(a), a)
+            for a, cfg in labels.items()
+            if a not in pumps and a not in grafts and tree.is_leaf(a) and not is_accepting(system, cfg)
+        ),
+        default=None,
+    )
+    if stuck is not None:
+        return False, f"leaf {stuck[1] or 'root'} is neither accepting nor pumped"
+    anchor_of, _, exclusive = _anchor_walk(tree, pumps)
+    for leaf, rec in sorted(pumps.items()):
+        if leaf not in tree.labels or not tree.is_leaf(leaf):
+            return False, f"pump source {leaf!r} is not a leaf of the tree"
+        if rec.anchor not in tree.labels:
+            return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
+        if leaf not in anchor_of:
+            return False, f"pumped leaf {leaf} is not increasing"
+        if anchor_of[leaf] != rec.anchor:
+            return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
+        gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter
+        if rec.modulus != gap or rec.modulus < 1:
+            return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
+    if not exclusive:
+        return False, "pumping segments are not exclusive"
+    residues = ResidueCache(system, budget)
+    for leaf, rec in sorted(pumps.items()):
+        cfg = tree.labels[leaf]
+        if not residues.query(cfg.state, cfg.counter, rec.modulus):
+            return False, f"residue query at leaf {leaf} ({system.state_name(cfg.state)}, {cfg.counter}, {rec.modulus}) is negative"
+    return True, "ok"
+
+
+def check_certificate(system: Bvass1, certificate: Certificate, claimed: Config) -> bool:
+    return check_certificate_report(system, certificate, claimed)[0]
+
+
+def check_unbounded_witness(
+    system: Bvass1, state: int, witness: Witness, budget: Budget | None = None
+) -> tuple[bool, str]:
+    """Verify every clause of a witness from scratch.
+
+    Checks the walk shape, the first-occurrence condition, coverability
+    of every transition target at zero, the side values against fresh
+    coverability queries, and the positive-gain sum.  The coverability
+    tables are charged to ``budget``, a fresh ``Budget()`` when none is given.
+    """
+    states, trans = witness.states, witness.transitions
+    k = len(trans)
+    j = witness.j
+    if len(states) != k + 1:
+        return False, "state sequence and transition sequence lengths disagree"
+    if not 1 <= k <= system.num_states:
+        return False, f"walk length {k} outside [1, {system.num_states}]"
+    if not 0 <= j < k:
+        return False, f"re-entry index {j} outside [0, {k - 1}]"
+    if len(witness.n_values) != k - j:
+        return False, "need one side value per cycle transition"
+
+    def targets(ref: tuple[str, int]) -> tuple[int, ...]:
+        kind, idx = ref
+        if kind == "unary":
+            if not 0 <= idx < len(system.unary):
+                raise IndexError
+            return (system.unary[idx].target,)
+        if kind == "branch":
+            if not 0 <= idx < len(system.branching):
+                raise IndexError
+            t = system.branching[idx]
+            return (t.left, t.right)
+        raise IndexError
+
+    try:
+        for i in range(1, k + 1):
+            ref = trans[i - 1]
+            kind, idx = ref
+            src = system.unary[idx].source if kind == "unary" else system.branching[idx].source
+            if src != states[i - 1]:
+                return False, f"transition {i} does not start at state {i - 1} of the walk"
+            if states[i] not in targets(ref):
+                return False, f"state {i} of the walk is not a target of transition {i}"
+    except (IndexError, ValueError):
+        return False, "transition reference out of range"
+
+    if states[k] != states[j]:
+        return False, "the walk does not re-enter the state at the recorded index"
+    for i in range(j):
+        if states[i] == states[j]:
+            return False, "re-entered state already occurs before the recorded index"
+
+    # plain modulus-1 questions; the targets at 0 share one table
+    cover = ResidueCache(system, budget)
+    side_targets = sorted({p for ref in trans for p in targets(ref)})
+    for p in side_targets:
+        if not cover.query(p, 0, 1):
+            return False, f"target state {system.state_name(p)} does not cover 0"
+
+    total_gain = 0
+    cap = system.num_states + 1
+    for pos, i in enumerate(range(j + 1, k + 1)):
+        ref = trans[i - 1]
+        kind, idx = ref
+        n_i = witness.n_values[pos]
+        if not 0 <= n_i <= cap:
+            return False, f"side value for transition {i} outside [0, {cap}]"
+        if kind == "unary":
+            if n_i != 0:
+                return False, f"unary transition {i} must carry side value 0"
+            effect = system.unary[idx].delta
+        else:
+            t = system.branching[idx]
+            sibling = t.right if states[i] == t.left else t.left
+            if not cover.query(sibling, n_i, 1):
+                return False, f"sibling of transition {i} is not coverable at {n_i}"
+            effect = 0
+        total_gain += n_i - effect
+    if total_gain <= 0:
+        return False, f"cycle gain {total_gain} is not positive"
+    if states[0] != state:
+        return False, "walk does not start at the queried state"
+    return True, "ok"

@@ -20,7 +20,8 @@ import os
 import sys
 import time
 
-from .cover_bound import Witness, coverable, unbounded_report
+from .check import check_certificate_report
+from .cover_bound import coverable, unbounded_report
 from .gen import (
     gen_binary_constant,
     gen_doubling,
@@ -30,11 +31,16 @@ from .gen import (
     parse_circuit,
 )
 from .model import (
+    Budget,
+    BudgetExceeded,
     Bvass1,
     Config,
     FormatError,
     PartialTree,
     SemanticError,
+    Witness,
+    certificate_from_text,
+    certificate_to_text,
     classify_nodes,
     format_bvass,
     parse_bvass,
@@ -42,18 +48,8 @@ from .model import (
     tree_to_text,
 )
 from .oracle import bounded_reach_set, oracle_residue, oracle_unbounded_hint
-from .reach import (
-    ExpandOverflow,
-    ReachQuery,
-    WitnessSearchFailed,
-    certificate_from_text,
-    certificate_to_text,
-    check_certificate_report,
-    expand_certificate,
-    extract_certificate,
-    run_query,
-)
-from .residue import DEFAULT_BUDGET, Budget, BudgetExceeded, ResidueQuery, residue_reachable
+from .reach import ExpandOverflow, ReachQuery, WitnessSearchFailed, expand_certificate, extract_certificate, run_query
+from .residue import ResidueQuery, residue_reachable
 
 
 class CliError(Exception):
@@ -108,17 +104,20 @@ def _state_id(system: Bvass1, name: str) -> int:
         raise CliError(f"--state {name}: no such state")
 
 
-def _default_budget() -> int:
+def _budget(args) -> Budget:
+    """The command's one budget: ``--budget``, else ``BVASS1_BUDGET``, else the default."""
+    if args.budget is not None:
+        return Budget(args.budget)
     raw = os.environ.get("BVASS1_BUDGET")
     if raw is None:
-        return DEFAULT_BUDGET
+        return Budget()
     try:
         value = int(raw)
     except ValueError:
         raise CliError(f"BVASS1_BUDGET={raw!r} is not an integer")
     if value <= 0:
         raise CliError(f"BVASS1_BUDGET={raw!r} must be positive")
-    return value
+    return Budget(value)
 
 
 class _Timer:
@@ -189,7 +188,7 @@ def _witness_lines(system: Bvass1, witness: Witness) -> list[str]:
 
 def _cmd_decide(args) -> int:
     timer = _Timer()
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     with timer.time("parse"):
         system = _load_system(args.system)
         state = _state_id(system, args.state)
@@ -230,7 +229,7 @@ def _cmd_decide(args) -> int:
         n = _require(args, "--n")
         query_echo["n"] = n
         with timer.time("decide"):
-            verdict = coverable(system, state, n, Budget(budget))
+            verdict = coverable(system, state, n, budget)
         return _emit_verdict(args, verdict, "cover", query_echo, None, timer)
 
     if args.problem == "residue":
@@ -241,7 +240,7 @@ def _cmd_decide(args) -> int:
         query_echo["n"] = n
         query_echo["d"] = d
         with timer.time("decide"):
-            verdict, _ = residue_reachable(ResidueQuery(system, state, n, d), Budget(budget))
+            verdict, _ = residue_reachable(ResidueQuery(system, state, n, d), budget)
         return _emit_verdict(args, verdict, "residue", query_echo, None, timer)
 
     # bounded: YES means the reach set is finite
@@ -256,7 +255,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     system = _load_system(args.system)
     state = _state_id(system, args.state)
     text = _read_text(args.certificate)
@@ -266,7 +265,7 @@ def _cmd_check(args) -> int:
         raise CliError(f"--certificate {args.certificate}: {exc}")
     if "" not in certificate.tree.labels and "" not in certificate.grafts:
         raise CliError(f"--certificate {args.certificate}: no root node")
-    ok, reason = check_certificate_report(system, certificate, Config(state, args.n), Budget(budget))
+    ok, reason = check_certificate_report(system, certificate, Config(state, args.n), budget)
     if not ok:
         print(reason, file=sys.stderr)
     print("YES" if ok else "NO")

@@ -13,8 +13,8 @@ through the other target can contribute (its largest coverable value,
 clamped) minus the transition's counter effect.  Unboundedness then
 reduces to a reachable positive-gain cycle.  One longest-gain
 relaxation from the state finds a simple one; a shortest path to it
-plus the cycle fit in |Q| edges and form a witness sequence that a
-separate checker verifies clause by clause.
+plus the cycle fit in |Q| edges and form a witness (``model.Witness``)
+that ``check.check_unbounded_witness`` verifies clause by clause.
 
 The clamped values are the max-coverable profile the reach engine also
 reads (``ResidueCache.max_coverable``), read off one modulus-1 table at
@@ -27,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Bvass1
-from .residue import DEFAULT_BUDGET, Budget, ResidueCache, ResidueQuery, residue_reachable
+from .model import Budget, Bvass1, Witness
+from .residue import ResidueCache, ResidueQuery, residue_reachable
 
 
 def coverable(system: Bvass1, state: int, n: int, budget: Budget | None = None) -> bool:
@@ -72,104 +72,6 @@ def build_gain_graph(system: Bvass1, budget: Budget | None = None) -> GainGraph:
     return GainGraph(tuple(edges), tuple(max_cov))
 
 
-@dataclass(frozen=True)
-class Witness:
-    """An unboundedness witness: states p_0..p_k, the transitions between
-    them, the index j with p_k = p_j, and the side values n_i chosen for
-    the cycle part (transitions j+1..k)."""
-
-    states: tuple[int, ...]
-    transitions: tuple[tuple[str, int], ...]
-    j: int
-    n_values: tuple[int, ...]
-
-
-def check_unbounded_witness(
-    system: Bvass1, state: int, witness: Witness, budget: Budget | None = None
-) -> tuple[bool, str]:
-    """Verify every clause of a witness from scratch.
-
-    Checks the walk shape, the first-occurrence condition, coverability
-    of every transition target at zero, the side values against fresh
-    coverability queries, and the positive-gain sum.  The coverability
-    tables are charged to ``budget``, a fresh ``Budget()`` when none is given.
-    """
-    states, trans = witness.states, witness.transitions
-    k = len(trans)
-    j = witness.j
-    if len(states) != k + 1:
-        return False, "state sequence and transition sequence lengths disagree"
-    if not 1 <= k <= system.num_states:
-        return False, f"walk length {k} outside [1, {system.num_states}]"
-    if not 0 <= j < k:
-        return False, f"re-entry index {j} outside [0, {k - 1}]"
-    if len(witness.n_values) != k - j:
-        return False, "need one side value per cycle transition"
-
-    def targets(ref: tuple[str, int]) -> tuple[int, ...]:
-        kind, idx = ref
-        if kind == "unary":
-            if not 0 <= idx < len(system.unary):
-                raise IndexError
-            return (system.unary[idx].target,)
-        if kind == "branch":
-            if not 0 <= idx < len(system.branching):
-                raise IndexError
-            t = system.branching[idx]
-            return (t.left, t.right)
-        raise IndexError
-
-    try:
-        for i in range(1, k + 1):
-            ref = trans[i - 1]
-            kind, idx = ref
-            src = system.unary[idx].source if kind == "unary" else system.branching[idx].source
-            if src != states[i - 1]:
-                return False, f"transition {i} does not start at state {i - 1} of the walk"
-            if states[i] not in targets(ref):
-                return False, f"state {i} of the walk is not a target of transition {i}"
-    except (IndexError, ValueError):
-        return False, "transition reference out of range"
-
-    if states[k] != states[j]:
-        return False, "the walk does not re-enter the state at the recorded index"
-    for i in range(j):
-        if states[i] == states[j]:
-            return False, "re-entered state already occurs before the recorded index"
-
-    # plain modulus-1 questions; the targets at 0 share one table
-    cover = ResidueCache(system, budget)
-    side_targets = sorted({p for ref in trans for p in targets(ref)})
-    for p in side_targets:
-        if not cover.query(p, 0, 1):
-            return False, f"target state {system.state_name(p)} does not cover 0"
-
-    total_gain = 0
-    cap = system.num_states + 1
-    for pos, i in enumerate(range(j + 1, k + 1)):
-        ref = trans[i - 1]
-        kind, idx = ref
-        n_i = witness.n_values[pos]
-        if not 0 <= n_i <= cap:
-            return False, f"side value for transition {i} outside [0, {cap}]"
-        if kind == "unary":
-            if n_i != 0:
-                return False, f"unary transition {i} must carry side value 0"
-            effect = system.unary[idx].delta
-        else:
-            t = system.branching[idx]
-            sibling = t.right if states[i] == t.left else t.left
-            if not cover.query(sibling, n_i, 1):
-                return False, f"sibling of transition {i} is not coverable at {n_i}"
-            effect = 0
-        total_gain += n_i - effect
-    if total_gain <= 0:
-        return False, f"cycle gain {total_gain} is not positive"
-    if states[0] != state:
-        return False, "walk does not start at the queried state"
-    return True, "ok"
-
-
 def _bfs_paths(out: list[list[GainEdge]], start: int) -> tuple[list[int], list[Optional[GainEdge]]]:
     dist = [-1] * len(out)
     via: list[Optional[GainEdge]] = [None] * len(out)
@@ -186,7 +88,7 @@ def _bfs_paths(out: list[list[GainEdge]], start: int) -> tuple[list[int], list[O
 
 
 def unbounded_report(
-    system: Bvass1, state: int, budget: int | None = DEFAULT_BUDGET
+    system: Bvass1, state: int, budget: Budget | None = None
 ) -> tuple[bool, str, Optional[Witness]]:
     """Decide unboundedness; on success also return a checkable witness.
 
@@ -203,7 +105,7 @@ def unbounded_report(
     """
     if not 0 <= state < system.num_states:
         raise ValueError("state out of range")
-    graph = build_gain_graph(system, Budget(budget))
+    graph = build_gain_graph(system, budget)
     if graph.max_coverable[state] is None:
         return False, "bounded: the state has an empty reach set", None
     nq = system.num_states
@@ -266,5 +168,5 @@ def unbounded_report(
     return True, f"unbounded: cycle of length {len(cycle)} at {system.state_name(s)} gains {gain}", witness
 
 
-def unbounded(system: Bvass1, state: int, budget: int | None = DEFAULT_BUDGET) -> bool:
+def unbounded(system: Bvass1, state: int, budget: Budget | None = None) -> bool:
     return unbounded_report(system, state, budget)[0]

@@ -12,14 +12,17 @@ the single child of a unary node carries the parent's counter plus the
 transition shift.  A derivation is complete when every leaf is a final
 state with counter zero.  This module holds the types, the text formats,
 the tree validators, and the node classifications (increasing nodes and
-their anchors) that the decision engines build on.
+their anchors) that the decision engines build on, and what the
+decisions hand out and are charged: reach certificates with their text
+format, unboundedness witnesses, and the work budget.  It imports nothing
+else from the package, so ``check`` reads an artifact without the engine.
 
 Node addresses are strings over "0"/"1"; the root is the empty string and
 is spelled "e" in text files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -40,6 +43,30 @@ class FormatError(ValueError):
 
 class SemanticError(ValueError):
     """Well-formed text with inconsistent content (unknown state, duplicate, ...)."""
+
+
+DEFAULT_BUDGET = 2**30
+
+
+class BudgetExceeded(Exception):
+    """A run would materialize more table entries than the budget allows."""
+
+
+class Budget:
+    """Mutable counter of materialized table entries shared across phases;
+    an entry point given None charges a fresh ``Budget()``, and ``Budget(None)`` is unlimited."""
+
+    def __init__(self, limit: int | None = DEFAULT_BUDGET):
+        self.limit = limit
+        self.used = 0
+
+    def charge(self, entries: int) -> None:
+        self.used += entries
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceeded(
+                f"needs more than {self.limit} table entries ({self.used} and counting); "
+                "raise the budget to proceed"
+            )
 
 
 class UnaryTransition(NamedTuple):
@@ -541,11 +568,122 @@ def is_exclusive(tree: PartialTree) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# tree text format
+# reach certificates
 
 
-def _addr_to_text(addr: str) -> str:
-    return addr if addr else "e"
+def reach_bound(system: Bvass1, n: int) -> int:
+    """B = 2|Q| + n, the counter bound of a certificate for q(n)."""
+    return 2 * system.num_states + n
+
+
+@dataclass(frozen=True)
+class PumpRecord:
+    """Where an increasing leaf pumps from: its anchor and the counter gap."""
+
+    anchor: str
+    modulus: int
+
+
+# a shared pump-free subderivation: its root label and its children's def ids
+Def = tuple[Config, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A partial derivation tree with its pumps, pump-free parts shared.
+
+    ``tree`` is the spine, every node on a path from the root to a pumped
+    leaf, plus one labelled leaf per graft.  ``defs`` maps an id to a
+    shared pump-free subderivation; ids are numbered bottom-up, so a
+    child's id is smaller than its parent's.  ``grafts`` maps a leaf of
+    ``tree`` to the def that derives it.  A certificate without defs is a
+    plain tree.
+
+    A pump-free subderivation is valid wherever it hangs, as anchors and
+    exclusivity concern only the pumped leaves and the paths above them.
+    So there are at most |Q|·(B+1) defs plus the spine, where the tree the
+    certificate stands for can be exponential in |Q|.
+    """
+
+    tree: PartialTree
+    pumps: dict[str, PumpRecord]
+    defs: dict[int, Def] = field(default_factory=dict)
+    grafts: dict[str, int] = field(default_factory=dict)
+
+    def unfold(self) -> PartialTree:
+        """The whole tree, every def written out under each graft of it.
+
+        Every graft must name a def; the checker makes sure of that.
+        """
+        labels = dict(self.tree.labels)
+        _unfold_defs(labels, self.grafts, self.defs)
+        return PartialTree(labels)
+
+
+def _unfold_defs(out: dict[str, Config], grafts: dict[str, int], defs: dict[int, Def]) -> None:
+    """Write the subtree of each grafted def into ``out`` under its address.
+
+    A def occurring more than once among the grafts and the children of
+    the defs below them has its relative addresses and labels built once,
+    children before parents; each occurrence then costs one ``dict.update``
+    of its prefixed addresses.  The rest is walked node by node.
+    """
+    refs: dict[int, int] = {}
+    stack = list(grafts.values())
+    while stack:
+        i = stack.pop()
+        if i in refs:
+            refs[i] += 1
+        else:
+            refs[i] = 1
+            stack += defs[i][1]
+    shared: dict[int, tuple[list[str], list[Config]]] = {}
+    for i in sorted(i for i, r in refs.items() if r > 1):
+        shared[i] = _walk_def("", i, defs, shared)
+    for addr, i in grafts.items():
+        out.update(zip(*_walk_def(addr, i, defs, shared)))
+
+
+def _walk_def(
+    addr: str, root: int, defs: dict[int, Def], shared: dict[int, tuple[list[str], list[Config]]]
+) -> tuple[list[str], list[Config]]:
+    """The addresses and labels of def ``root`` under ``addr``, in walk order.
+
+    A def in ``shared`` is not walked: its built addresses are prefixed.
+    """
+    addrs: list[str] = []
+    cfgs: list[Config] = []
+    stack = [(addr, root)]
+    while stack:
+        a, i = stack.pop()
+        if i in shared:
+            rels, labels = shared[i]
+            addrs += [a + r for r in rels]
+            cfgs += labels
+            continue
+        cfg, kids = defs[i]
+        addrs.append(a)
+        cfgs.append(cfg)
+        if kids:
+            stack.append((a + "0", kids[0]))
+            if len(kids) == 2:
+                stack.append((a + "1", kids[1]))
+    return addrs, cfgs
+
+
+def _def_sizes(defs: dict[int, Def]) -> dict[int, int]:
+    """Node count of each def's unfolded subtree; children have smaller ids."""
+    size: dict[int, int] = {}
+    for i, (_, kids) in sorted(defs.items()):
+        n = 1
+        for c in kids:
+            n += size[c]
+        size[i] = n
+    return size
+
+
+# ---------------------------------------------------------------------------
+# tree and certificate text format
 
 
 def _addr_from_text(token: str, line_no: int) -> str:
@@ -558,14 +696,36 @@ def _addr_from_text(token: str, line_no: int) -> str:
 
 def tree_to_text(system: Bvass1, tree: PartialTree) -> str:
     """One line per node: ``<address> <state> <counter>``; the root is ``e``."""
-    lines = []
+    return certificate_to_text(system, Certificate(tree, {})) or "\n"
+
+
+def certificate_to_text(system: Bvass1, certificate: Certificate) -> str:
+    """Def lines, tree lines, then one ``pump <leaf> <anchor> <modulus>`` per pump.
+
+    Defs come bottom-up as ``def <id> <state> <counter> [<child-id>
+    [<child-id>]]``.  Tree lines are ``<address> <state> <counter>``, in
+    (length, address) order, except that a graft leaf is written
+    ``<address> = <id>``.
+    """
+    name = system.state_name
+    parts = [
+        f"def {i} {name(cfg.state)} {cfg.counter}{''.join(f' {c}' for c in kids)}\n"
+        for i, (cfg, kids) in sorted(certificate.defs.items())
+    ]
+    tree, grafts = certificate.tree, certificate.grafts
     for addr in tree.addresses():
-        cfg = tree.labels[addr]
-        lines.append(f"{_addr_to_text(addr)} {system.state_name(cfg.state)} {cfg.counter}")
-    return "\n".join(lines) + "\n"
+        i = grafts.get(addr)
+        if i is None:
+            cfg = tree.labels[addr]
+            parts.append(f"{addr or 'e'} {name(cfg.state)} {cfg.counter}\n")
+        else:
+            parts.append(f"{addr or 'e'} = {i}\n")
+    for leaf, rec in sorted(certificate.pumps.items()):
+        parts.append(f"pump {leaf or 'e'} {rec.anchor or 'e'} {rec.modulus}\n")
+    return "".join(parts)
 
 
-def _read_pump(tokens: list[str], line_no: int, pumps: dict[str, tuple[str, int]]) -> None:
+def _read_pump(tokens: list[str], line_no: int, pumps: dict[str, PumpRecord]) -> None:
     if len(tokens) != 4:
         raise FormatError(line_no, "expected pump <leaf> <anchor> <modulus>")
     leaf = _addr_from_text(tokens[1], line_no)
@@ -578,7 +738,7 @@ def _read_pump(tokens: list[str], line_no: int, pumps: dict[str, tuple[str, int]
         raise SemanticError(f"line {line_no}: modulus must be at least 1")
     if leaf in pumps:
         raise SemanticError(f"line {line_no}: duplicate pump for leaf {tokens[1]!r}")
-    pumps[leaf] = (anchor, modulus)
+    pumps[leaf] = PumpRecord(anchor, modulus)
 
 
 def _read_id(token: str, line_no: int) -> int:
@@ -608,7 +768,7 @@ def _read_label(state_tok: str, counter_tok: str, line_no: int, system: Optional
 def _read_tree_text(
     text: str,
     system: Optional[Bvass1] = None,
-    pumps: Optional[dict[str, tuple[str, int]]] = None,
+    pumps: Optional[dict[str, PumpRecord]] = None,
     defs: Optional[dict] = None,
     grafts: Optional[dict[str, int]] = None,
     strict: bool = True,
@@ -624,7 +784,7 @@ def _read_tree_text(
     earlier line defines a format error; otherwise the checker reports it,
     and a graft naming no def stays unlabelled.  Pump lines
     ``pump <leaf> <anchor> <modulus>`` go into ``pumps`` as
-    leaf -> (anchor, modulus) when it is given and are skipped otherwise.
+    leaf -> ``PumpRecord`` when it is given and are skipped otherwise.
     A bad node, def or graft line is reported before any bad pump line,
     and an empty tree before either.
     """
@@ -682,6 +842,17 @@ def tree_from_text(system: Bvass1, text: str) -> PartialTree:
     return PartialTree(_read_tree_text(text, system))
 
 
+def certificate_from_text(system: Bvass1, text: str) -> Certificate:
+    """Read either text format; a tree without def lines has no defs.
+
+    Ids are taken as written: an unknown or forward reference is left for
+    the checker to report.
+    """
+    pumps, defs, grafts = {}, {}, {}
+    labels = _read_tree_text(text, system, pumps, defs, grafts, strict=False)
+    return Certificate(PartialTree(labels), pumps, defs, grafts)
+
+
 def raw_tree_from_text(
     text: str, defs: Optional[dict] = None, grafts: Optional[dict[str, int]] = None
 ) -> dict[str, tuple[str, int]]:
@@ -690,3 +861,19 @@ def raw_tree_from_text(
     Def and graft lines go into ``defs`` and ``grafts`` when given.
     """
     return _read_tree_text(text, defs=defs, grafts=grafts)
+
+
+# ---------------------------------------------------------------------------
+# unboundedness witnesses
+
+
+@dataclass(frozen=True)
+class Witness:
+    """An unboundedness witness: states p_0..p_k, the transitions between
+    them, the index j with p_k = p_j, and the side values n_i chosen for
+    the cycle part (transitions j+1..k)."""
+
+    states: tuple[int, ...]
+    transitions: tuple[tuple[str, int], ...]
+    j: int
+    n_values: tuple[int, ...]

@@ -8,15 +8,10 @@ with the pumping segments of distinct increasing leaves not nested in a
 conflicting way (exclusivity).  Such a tree is the certificate; it can
 be checked independently and unrolled into a full derivation tree.
 
-A certificate shares its pump-free subderivations.  Their validity does
-not depend on where they hang: every leaf accepts, and anchors and
-exclusivity concern only the pumped leaves and the paths above them.
-So each such subderivation is written once as a def, numbered bottom-up,
-and grafted onto the spine, the nodes on a path from the root to a
-pumped leaf.  The certificate then has at most |Q|·(B+1) defs plus the
-spine, where the tree it stands for can be exponential in |Q|.  The
-checker checks each def once and walks only the spine; expansion writes
-the defs out again.
+The certificate type and its text format are in ``model``, the checker
+in ``check``.  Extraction writes each pump-free subderivation once as a
+def (``model.Certificate``), numbered bottom-up; expansion writes the
+defs out again.
 
 The decision engine computes two families of bit tables by a worklist
 fixpoint over counters in [0, B]:
@@ -63,28 +58,22 @@ same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import (
-    Bvass1,
-    Config,
-    PartialTree,
-    _anchor_walk,
-    _read_tree_text,
-    is_accepting,
-    validate_partial_tree_report,
-)
-from .residue import (
-    DEFAULT_BUDGET,
-    BoundedReach,
     Budget,
-    BudgetExceeded,
-    EventLog,
-    ResidueCache,
-    _shift_parent,
-    _sumset,
+    Bvass1,
+    Certificate,
+    Config,
+    Def,
+    PartialTree,
+    PumpRecord,
+    _def_sizes,
+    _unfold_defs,
+    reach_bound,
 )
+from .residue import BoundedReach, EventLog, ResidueCache, _shift_parent, _sumset
 
 DEFAULT_WITNESS_CAP = 1 << 20
 
@@ -116,11 +105,6 @@ class WitnessSearchFailed(Exception):
     """
 
 
-def reach_bound(system: Bvass1, n: int) -> int:
-    """B = 2|Q| + n, the counter bound of a certificate for q(n)."""
-    return 2 * system.num_states + n
-
-
 @dataclass(frozen=True)
 class ReachQuery:
     system: Bvass1
@@ -136,107 +120,6 @@ class ReachQuery:
     @property
     def bound(self) -> int:
         return reach_bound(self.system, self.n)
-
-
-@dataclass(frozen=True)
-class PumpRecord:
-    """Where an increasing leaf pumps from: its anchor and the counter gap."""
-
-    anchor: str
-    modulus: int
-
-
-# a shared pump-free subderivation: its root label and its children's def ids
-Def = tuple[Config, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A partial derivation tree with its pumps, pump-free parts shared.
-
-    ``tree`` is the spine, every node on a path from the root to a pumped
-    leaf, plus one labelled leaf per graft.  ``defs`` maps an id to a
-    shared pump-free subderivation; ids are numbered bottom-up, so a
-    child's id is smaller than its parent's.  ``grafts`` maps a leaf of
-    ``tree`` to the def that derives it.  A certificate without defs is a
-    plain tree.
-    """
-
-    tree: PartialTree
-    pumps: dict[str, PumpRecord]
-    defs: dict[int, Def] = field(default_factory=dict)
-    grafts: dict[str, int] = field(default_factory=dict)
-
-    def unfold(self) -> PartialTree:
-        """The whole tree, every def written out under each graft of it.
-
-        Every graft must name a def; the checker makes sure of that.
-        """
-        labels = dict(self.tree.labels)
-        _unfold_defs(labels, self.grafts, self.defs)
-        return PartialTree(labels)
-
-
-def _unfold_defs(out: dict[str, Config], grafts: dict[str, int], defs: dict[int, Def]) -> None:
-    """Write the subtree of each grafted def into ``out`` under its address.
-
-    A def occurring more than once among the grafts and the children of
-    the defs below them has its relative addresses and labels built once,
-    children before parents; each occurrence then costs one ``dict.update``
-    of its prefixed addresses.  The rest is walked node by node.
-    """
-    refs: dict[int, int] = {}
-    stack = list(grafts.values())
-    while stack:
-        i = stack.pop()
-        if i in refs:
-            refs[i] += 1
-        else:
-            refs[i] = 1
-            stack += defs[i][1]
-    shared: dict[int, tuple[list[str], list[Config]]] = {}
-    for i in sorted(i for i, r in refs.items() if r > 1):
-        shared[i] = _walk_def("", i, defs, shared)
-    for addr, i in grafts.items():
-        out.update(zip(*_walk_def(addr, i, defs, shared)))
-
-
-def _walk_def(
-    addr: str, root: int, defs: dict[int, Def], shared: dict[int, tuple[list[str], list[Config]]]
-) -> tuple[list[str], list[Config]]:
-    """The addresses and labels of def ``root`` under ``addr``, in walk order.
-
-    A def in ``shared`` is not walked: its built addresses are prefixed.
-    """
-    addrs: list[str] = []
-    cfgs: list[Config] = []
-    stack = [(addr, root)]
-    while stack:
-        a, i = stack.pop()
-        if i in shared:
-            rels, labels = shared[i]
-            addrs += [a + r for r in rels]
-            cfgs += labels
-            continue
-        cfg, kids = defs[i]
-        addrs.append(a)
-        cfgs.append(cfg)
-        if kids:
-            stack.append((a + "0", kids[0]))
-            if len(kids) == 2:
-                stack.append((a + "1", kids[1]))
-    return addrs, cfgs
-
-
-def _def_sizes(defs: dict[int, Def]) -> dict[int, int]:
-    """Node count of each def's unfolded subtree; children have smaller ids."""
-    size: dict[int, int] = {}
-    for i, (_, kids) in sorted(defs.items()):
-        n = 1
-        for c in kids:
-            n += size[c]
-        size[i] = n
-    return size
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +258,15 @@ class FixpointTables:
     every cyclic state of q's cone has been pumped, as run_batch does for
     every q.  run_query's tables promise it for the query only.
     ``reason`` names the step that decided: ``kernel``, ``pump
-    fixpoint``, or one of run_query's refutations.
+    fixpoint``, or one of run_query's refutations.  Every table is
+    charged to ``budget``, a fresh ``Budget()`` when none is given.
     """
 
-    def __init__(self, system: Bvass1, bound: int, complete_to: int, budget: Budget):
+    def __init__(self, system: Bvass1, bound: int, complete_to: int, budget: Budget | None = None):
         self.system = system
         self.bound = bound
         self.complete_to = complete_to
-        self.budget = budget
+        self.budget = budget = Budget() if budget is None else budget
         self.residue_cache = ResidueCache(system, budget)
         # the max-coverable profile at bound + 1, built by ``profile``
         self.max_cover: list[int] = []
@@ -534,7 +418,7 @@ class FixpointTables:
         return bool((self.reach_masks[state] >> n) & 1)
 
 
-def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> FixpointTables:
+def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables:
     """Decide one configuration q(n), kernel first; pump contexts come last.
 
     Three steps on one ``FixpointTables`` and one fixpoint:
@@ -560,7 +444,7 @@ def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> Fixpoin
     """
     system = query.system
     state, n = query.state, query.n
-    tables = FixpointTables(system, query.bound, n, Budget(budget))
+    tables = FixpointTables(system, query.bound, n, budget)
     if tables.holds(state, n):
         return tables
     cyclic = _cyclic_states(system, _closure(system.state_graph[0], state))
@@ -573,7 +457,7 @@ def run_query(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> Fixpoin
     return tables
 
 
-def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) -> FixpointTables:
+def run_batch(system: Bvass1, nmax: int, budget: Budget | None = None) -> FixpointTables:
     """One fixpoint answering every query with counter up to nmax.
 
     Uses the bound for the largest counter; a tree certifying q(n) under
@@ -584,14 +468,14 @@ def run_batch(system: Bvass1, nmax: int, budget: int | None = DEFAULT_BUDGET) ->
     """
     if nmax < 0:
         raise ValueError("nmax must be a natural number")
-    tables = FixpointTables(system, reach_bound(system, nmax), nmax, Budget(budget))
+    tables = FixpointTables(system, reach_bound(system, nmax), nmax, budget)
     cyclic = _cyclic_states(system, range(system.num_states))
     if cyclic:
         tables.pump(cyclic)
     return tables
 
 
-def decide_reach(query: ReachQuery, budget: int | None = DEFAULT_BUDGET) -> bool:
+def decide_reach(query: ReachQuery, budget: Budget | None = None) -> bool:
     return run_query(query, budget).holds(query.state, query.n)
 
 
@@ -796,124 +680,6 @@ def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificat
 
 
 # ---------------------------------------------------------------------------
-# independent checking
-
-
-def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -> Optional[str]:
-    """The first failed clause of the defs and grafts, or None.
-
-    Each def is checked once, against its children's labels only; each
-    graft must name a def, sit on an unpumped leaf of the tree and carry
-    the def's label.
-    """
-    defs = certificate.defs
-    unary, branching = system.transition_sets
-    for i, (cfg, kids) in defs.items():
-        for c in kids:
-            if c not in defs:
-                return f"def {i} references unknown id {c}"
-            if c >= i:
-                return f"def {i} references id {c}, a forward reference"
-        if cfg.counter > bound:
-            return f"counter {cfg.counter} of def {i} exceeds the bound {bound}"
-        if not kids:
-            if not is_accepting(system, cfg):
-                return f"def {i} is a leaf that is not accepting"
-        elif len(kids) == 1:
-            child = defs[kids[0]][0]
-            if (cfg.state, child.counter - cfg.counter, child.state) not in unary:
-                return f"def {i}: no unary transition matches the child"
-        elif len(kids) == 2:
-            left, right = defs[kids[0]][0], defs[kids[1]][0]
-            if (cfg.state, left.state, right.state) not in branching:
-                return f"def {i}: no branching transition matches the children"
-            if left.counter + right.counter != cfg.counter:
-                return f"def {i}: children counters do not sum to the parent counter"
-        else:
-            return f"def {i} has more than two children"
-    tree = certificate.tree
-    for addr, i in certificate.grafts.items():
-        where = addr or "root"
-        if i not in defs:
-            return f"graft at {where} references unknown id {i}"
-        if addr in certificate.pumps:
-            return f"graft at {where} sits on a pumped leaf"
-        if addr not in tree.labels or not tree.is_leaf(addr):
-            return f"graft at {where} is not a leaf of the tree"
-        if tree.labels[addr] != defs[i][0]:
-            return f"graft at {where} is labelled unlike def {i}"
-    return None
-
-
-def check_certificate_report(
-    system: Bvass1, certificate: Certificate, claimed: Config, budget: Budget | None = None
-) -> tuple[bool, str]:
-    """Validate a certificate from scratch; names the first failed clause.
-
-    Shares only the model validators and the residue decision with the
-    engine; in particular every pump's residue query is re-decided here,
-    through one residue cache of the checker's own, whose tables are
-    charged to ``budget``, a fresh ``Budget()`` when none is given.  The
-    defs and grafts are checked first, each once; then the tree, whose
-    graft leaves count as derived, and the pumps.
-    """
-    bound = reach_bound(system, claimed.counter)
-    why = _shared_parts_report(system, certificate, bound)
-    if why is not None:
-        return False, why
-    tree = certificate.tree
-    if "" not in tree.labels:
-        return False, "tree has no root"
-    if tree.labels[""] != claimed:
-        return False, "root label differs from the claimed configuration"
-    ok, addr, why = validate_partial_tree_report(system, tree)
-    if not ok:
-        return False, f"invalid tree at {addr or 'root'}: {why}"
-    labels = tree.labels
-    # first violations in (length, address) order, found without sorting
-    over = min(((len(a), a) for a, cfg in labels.items() if cfg.counter > bound), default=None)
-    if over is not None:
-        a = over[1]
-        return False, f"counter {labels[a].counter} at node {a or 'root'} exceeds the bound {bound}"
-    pumps, grafts = certificate.pumps, certificate.grafts
-    stuck = min(
-        (
-            (len(a), a)
-            for a, cfg in labels.items()
-            if a not in pumps and a not in grafts and tree.is_leaf(a) and not is_accepting(system, cfg)
-        ),
-        default=None,
-    )
-    if stuck is not None:
-        return False, f"leaf {stuck[1] or 'root'} is neither accepting nor pumped"
-    anchor_of, _, exclusive = _anchor_walk(tree, pumps)
-    for leaf, rec in sorted(pumps.items()):
-        if leaf not in tree.labels or not tree.is_leaf(leaf):
-            return False, f"pump source {leaf!r} is not a leaf of the tree"
-        if rec.anchor not in tree.labels:
-            return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
-        if leaf not in anchor_of:
-            return False, f"pumped leaf {leaf} is not increasing"
-        if anchor_of[leaf] != rec.anchor:
-            return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
-        gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter
-        if rec.modulus != gap or rec.modulus < 1:
-            return False, f"modulus {rec.modulus} of leaf {leaf} does not match the counter gap {gap}"
-    if not exclusive:
-        return False, "pumping segments are not exclusive"
-    residues = ResidueCache(system, budget)
-    for leaf, rec in sorted(pumps.items()):
-        cfg = tree.labels[leaf]
-        if not residues.query(cfg.state, cfg.counter, rec.modulus):
-            return False, f"residue query at leaf {leaf} ({system.state_name(cfg.state)}, {cfg.counter}, {rec.modulus}) is negative"
-    return True, "ok"
-
-
-def check_certificate(system: Bvass1, certificate: Certificate, claimed: Config) -> bool:
-    return check_certificate_report(system, certificate, claimed)[0]
-
-
-# ---------------------------------------------------------------------------
 # expansion into a full derivation tree
 
 
@@ -1017,51 +783,3 @@ def expand_certificate(system: Bvass1, certificate: Certificate, max_nodes: int)
         _unfold_defs(out, {anchor + path_rel * (k + 1): wit_root}, wit_defs)
         labels = out
     return PartialTree(labels)
-
-
-# ---------------------------------------------------------------------------
-# certificate text format
-
-
-def certificate_to_text(system: Bvass1, certificate: Certificate) -> str:
-    """Def lines, tree lines, then one ``pump <leaf> <anchor> <modulus>`` per pump.
-
-    Defs come bottom-up as ``def <id> <state> <counter> [<child-id>
-    [<child-id>]]``.  Tree lines are ``<address> <state> <counter>``, in
-    (length, address) order, except that a graft leaf is written
-    ``<address> = <id>``.
-    """
-    name = system.state_name
-    parts = [
-        f"def {i} {name(cfg.state)} {cfg.counter}{''.join(f' {c}' for c in kids)}\n"
-        for i, (cfg, kids) in sorted(certificate.defs.items())
-    ]
-    tree, grafts = certificate.tree, certificate.grafts
-    for addr in tree.addresses():
-        i = grafts.get(addr)
-        if i is None:
-            cfg = tree.labels[addr]
-            parts.append(f"{addr or 'e'} {name(cfg.state)} {cfg.counter}\n")
-        else:
-            parts.append(f"{addr or 'e'} = {i}\n")
-    for leaf, rec in sorted(certificate.pumps.items()):
-        parts.append(f"pump {leaf or 'e'} {rec.anchor or 'e'} {rec.modulus}\n")
-    return "".join(parts)
-
-
-def certificate_from_text(system: Bvass1, text: str) -> Certificate:
-    """Read either text format; a tree without def lines has no defs.
-
-    Ids are taken as written: an unknown or forward reference is left for
-    the checker to report.
-    """
-    pumps: dict[str, tuple[str, int]] = {}
-    defs: dict[int, Def] = {}
-    grafts: dict[str, int] = {}
-    tree = PartialTree(_read_tree_text(text, system, pumps, defs, grafts, strict=False))
-    return Certificate(
-        tree=tree,
-        pumps={leaf: PumpRecord(a, d) for leaf, (a, d) in pumps.items()},
-        defs=defs,
-        grafts=grafts,
-    )

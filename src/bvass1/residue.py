@@ -32,30 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import Bvass1
-
-DEFAULT_BUDGET = 2**30
-
-
-class BudgetExceeded(Exception):
-    """A run would materialize more table entries than the budget allows."""
-
-
-class Budget:
-    """Mutable counter of materialized table entries shared across phases."""
-
-    def __init__(self, limit: int | None = DEFAULT_BUDGET):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, entries: int) -> None:
-        self.used += entries
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceeded(
-                f"needs more than {self.limit} table entries ({self.used} and counting); "
-                "raise the budget to proceed"
-            )
-
+from .model import Budget, Bvass1
 
 @dataclass(frozen=True)
 class ResidueQuery:
@@ -445,6 +422,9 @@ class ResidueCache:
         return table
 
     def query(self, state: int, n0: int, d: int) -> bool:
+        """The residue question (state, n0, d); bad arguments raise as ``ResidueQuery`` does."""
+        if d < 1 or n0 < 0 or not 0 <= state < self.system.num_states:
+            ResidueQuery(self.system, state, n0, d)  # raises its ValueError
         return self._table(state, n0, d).answers(state, n0)
 
     def max_coverable(self, clamp: int) -> list[int]:

@@ -4,12 +4,13 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from bvass1.cover_bound import GainEdge, GainGraph, Witness, _bfs_paths, build_gain_graph, coverable
+from bvass1.cover_bound import GainEdge, GainGraph, _bfs_paths, build_gain_graph, coverable
 from bvass1.gen import gen_random
 from bvass1.model import (
     RESERVED_WORDS,
     Z_VALUES,
     BranchTransition,
+    Budget,
     Bvass1,
     Config,
     FormatError,
@@ -17,11 +18,12 @@ from bvass1.model import (
     PartialTree,
     SemanticError,
     UnaryTransition,
+    Witness,
     is_accepting,
     parse_bvass,
 )
 from bvass1.reach import _replay_step
-from bvass1.residue import Budget, ResidueQuery, compute_table
+from bvass1.residue import ResidueQuery, compute_table
 
 LOOP_TEXT = """
 state a  state f
@@ -277,7 +279,7 @@ def naive_max_coverable(system: Bvass1, clamp: int) -> list[int]:
 
 
 def naive_unbounded_report(
-    system: Bvass1, state: int, budget: int | None = None
+    system: Bvass1, state: int, budget: Budget | None = None
 ) -> tuple[bool, str, Optional[Witness]]:
     """The walk-length dynamic program that ``unbounded_report`` replaced.
 
@@ -285,8 +287,7 @@ def naive_unbounded_report(
     the gain graph; the state is unbounded iff some s with
     dist(state, s) + l <= |Q| has best[l][s][s] > 0.
     """
-    b = Budget() if budget is None else Budget(budget)
-    graph = build_gain_graph(system, b)
+    graph = build_gain_graph(system, budget)
     if graph.max_coverable[state] is None:
         return False, "bounded: the state has an empty reach set", None
     nq = system.num_states

@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 import time
 
-from bvass1.cover_bound import check_unbounded_witness, coverable, unbounded, unbounded_report
+from bvass1.check import check_certificate_report, check_unbounded_witness
+from bvass1.cover_bound import coverable, unbounded, unbounded_report
 from bvass1.gen import (
     Gate,
     eval_circuit,
@@ -21,7 +22,10 @@ from bvass1.gen import (
     gen_subset_sum,
 )
 from bvass1.model import (
+    Certificate,
     Config,
+    certificate_from_text,
+    certificate_to_text,
     classify_nodes,
     is_exclusive,
     is_reachability_tree,
@@ -36,13 +40,9 @@ from bvass1.oracle import (
     oracle_unbounded_hint,
 )
 from bvass1.reach import (
-    Certificate,
     ExpandOverflow,
     ReachQuery,
     _witness_value_scan,
-    certificate_from_text,
-    certificate_to_text,
-    check_certificate_report,
     decide_reach,
     expand_certificate,
     extract_certificate,

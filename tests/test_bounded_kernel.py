@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvass1.gen import gen_binary_constant, gen_doubling
-from bvass1.model import Bvass1, Config, PartialTree, is_reachability_tree, parse_bvass
+from bvass1.check import check_certificate_report
+from bvass1.model import Bvass1, Certificate, Config, PartialTree, _def_sizes, is_reachability_tree, parse_bvass
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
-    Certificate,
     ExpandOverflow,
     ReachQuery,
     _cyclic_states,
-    _def_sizes,
     _replay,
     _ReplayOverLimit,
     _witness_value_scan,
-    check_certificate_report,
     expand_certificate,
     extract_certificate,
     run_batch,

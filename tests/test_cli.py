@@ -188,6 +188,29 @@ def test_budget_env(tmp_path, monkeypatch, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_budget_flag_overrides_env(tmp_path, monkeypatch, capsys):
+    system = _gen_doubling_file(tmp_path, 6)
+    monkeypatch.setenv("BVASS1_BUDGET", "10")
+    args = ["decide", "reach", "--system", system, "--state", "q", "--n", "0"]
+    assert main(args) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+    assert main(args + ["--budget", "1000000"]) == 0
+    assert capsys.readouterr().out == "YES\n"
+
+
+@pytest.mark.parametrize(
+    "problem, query", [("bounded", []), ("cover", ["--n", "16"]), ("residue", ["--n", "16", "--d", "3"])]
+)
+def test_budget_flag_refuses_every_problem(tmp_path, capsys, problem, query):
+    system = _gen_doubling_file(tmp_path, 4)
+    args = ["decide", problem, "--system", system, "--state", "q", *query]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # certificates through the CLI
 

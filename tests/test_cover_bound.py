@@ -1,22 +1,15 @@
 """Coverability and the gain-graph boundedness decision."""
 from __future__ import annotations
 
-from bvass1.cover_bound import (
-    Witness,
-    build_gain_graph,
-    check_unbounded_witness,
-    coverable,
-    unbounded,
-    unbounded_report,
-)
+from bvass1.check import check_unbounded_witness
+from bvass1.cover_bound import build_gain_graph, coverable, unbounded, unbounded_report
 from bvass1.gen import gen_doubling, gen_random
-from bvass1.model import parse_bvass
+from bvass1.model import Budget, BudgetExceeded, Witness, parse_bvass
 from bvass1.oracle import (
     NO_VALUE_ABOVE_THRESHOLD,
     UNBOUNDED_PROVEN,
     oracle_unbounded_hint,
 )
-from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 

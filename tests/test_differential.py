@@ -14,11 +14,16 @@ import time
 import pytest
 
 from bvass1.gen import gen_binary_constant, gen_doubling, gen_mcvp, gen_random, gen_random_circuit, gen_subset_sum
+from bvass1.check import check_certificate_report
 from bvass1.model import (
+    Certificate,
     Config,
     FormatError,
     PartialTree,
+    PumpRecord,
     SemanticError,
+    certificate_from_text,
+    certificate_to_text,
     classify_nodes,
     is_exclusive,
     parse_bvass,
@@ -26,19 +31,7 @@ from bvass1.model import (
     tree_from_text,
     validate_partial_tree_report,
 )
-from bvass1.reach import (
-    Certificate,
-    PumpRecord,
-    ReachQuery,
-    _closure,
-    _cyclic_states,
-    certificate_from_text,
-    certificate_to_text,
-    check_certificate_report,
-    extract_certificate,
-    run_batch,
-    run_query,
-)
+from bvass1.reach import ReachQuery, _closure, _cyclic_states, extract_certificate, run_batch, run_query
 
 from helpers import (
     b2,

@@ -4,7 +4,8 @@ from __future__ import annotations
 import random
 import time
 
-from bvass1.cover_bound import build_gain_graph, check_unbounded_witness, coverable, unbounded_report
+from bvass1.check import check_unbounded_witness
+from bvass1.cover_bound import build_gain_graph, coverable, unbounded_report
 from bvass1.gen import (
     gen_binary_constant,
     gen_doubling,

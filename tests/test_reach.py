@@ -6,9 +6,16 @@ from dataclasses import replace
 
 from bvass1 import residue
 from bvass1.gen import gen_binary_constant, gen_doubling, gen_random, gen_subset_sum
+from bvass1.check import check_certificate, check_certificate_report
 from bvass1.model import (
+    Budget,
+    BudgetExceeded,
+    Certificate,
     Config,
     PartialTree,
+    PumpRecord,
+    certificate_from_text,
+    certificate_to_text,
     classify_nodes,
     format_bvass,
     is_exclusive,
@@ -19,21 +26,14 @@ from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
     KERNEL,
     PUMP_FIXPOINT,
-    Certificate,
     ExpandOverflow,
-    PumpRecord,
     ReachQuery,
-    certificate_from_text,
-    certificate_to_text,
-    check_certificate,
-    check_certificate_report,
     decide_reach,
     expand_certificate,
     extract_certificate,
     run_batch,
     run_query,
 )
-from bvass1.residue import Budget, BudgetExceeded
 
 import pytest
 
@@ -87,7 +87,7 @@ def test_query_validation():
 
 def test_budget_refusal():
     with pytest.raises(BudgetExceeded):
-        decide_reach(_query(gen_doubling(6), "q", 0), budget=10)
+        decide_reach(_query(gen_doubling(6), "q", 0), budget=Budget(10))
 
 
 # ---------------------------------------------------------------------------

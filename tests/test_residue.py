@@ -14,17 +14,10 @@ from bvass1.gen import (
     gen_random_circuit,
     gen_subset_sum,
 )
-from bvass1.model import parse_bvass
+from bvass1.model import Budget, BudgetExceeded, parse_bvass
 from bvass1.oracle import bounded_reach_set, oracle_residue
 from bvass1.reach import _witness_value_scan
-from bvass1.residue import (
-    Budget,
-    BudgetExceeded,
-    ResidueCache,
-    ResidueQuery,
-    compute_table,
-    residue_reachable,
-)
+from bvass1.residue import ResidueCache, ResidueQuery, compute_table, residue_reachable
 
 import pytest
 
@@ -239,6 +232,24 @@ def test_cache_collapses_same_window():
         cache.query(0, n0, 3)
     # windows 0, 3 and 6 for d = 3
     assert cache.tables_built == 3
+
+
+@pytest.mark.parametrize(
+    "state, n0, d, message",
+    [
+        (0, 0, 0, "d must be >= 1"),  # the window base would divide by zero
+        (5, 0, 1, "start state out of range"),  # past the cached table's states
+        (-1, 0, 1, "start state out of range"),  # the cached table would answer for p
+        (0, -1, 1, "n0 must be >= 0"),
+    ],
+)
+def test_cache_query_checks_every_call_like_residue_query(state, n0, d, message):
+    cache = ResidueCache(parse_bvass("state q\nstate p\nfinal q\n"))
+    assert cache.query(0, 0, 1)  # a table the bad queries could read
+    with pytest.raises(ValueError, match=message):
+        cache.query(state, n0, d)
+    with pytest.raises(ValueError, match=message):
+        ResidueQuery(cache.system, state, n0, d)
 
 
 @given(

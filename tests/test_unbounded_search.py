@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from bvass1.cover_bound import check_unbounded_witness, unbounded_report
+from bvass1.check import check_unbounded_witness
+from bvass1.cover_bound import unbounded_report
 from bvass1.gen import gen_mcvp, gen_random_circuit
 from bvass1.model import parse_bvass
 
