@@ -13,8 +13,11 @@ from .model import (
     Bvass1,
     Certificate,
     Config,
+    UnaryTransition,
     Witness,
     _anchor_walk,
+    _step_fault,
+    _transition,
     is_accepting,
     reach_bound,
     validate_partial_tree_report,
@@ -30,7 +33,6 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
     the def's label.
     """
     defs = certificate.defs
-    unary, branching = system.transition_sets
     for i, (cfg, kids) in defs.items():
         for c in kids:
             if c not in defs:
@@ -42,18 +44,10 @@ def _shared_parts_report(system: Bvass1, certificate: Certificate, bound: int) -
         if not kids:
             if not is_accepting(system, cfg):
                 return f"def {i} is a leaf that is not accepting"
-        elif len(kids) == 1:
-            child = defs[kids[0]][0]
-            if (cfg.state, child.counter - cfg.counter, child.state) not in unary:
-                return f"def {i}: no unary transition matches the child"
-        elif len(kids) == 2:
-            left, right = defs[kids[0]][0], defs[kids[1]][0]
-            if (cfg.state, left.state, right.state) not in branching:
-                return f"def {i}: no branching transition matches the children"
-            if left.counter + right.counter != cfg.counter:
-                return f"def {i}: children counters do not sum to the parent counter"
-        else:
+        elif len(kids) > 2:
             return f"def {i} has more than two children"
+        elif why := _step_fault(system, cfg, defs[kids[0]][0], defs[kids[1]][0] if len(kids) == 2 else None):
+            return f"def {i}: {why}"
     tree = certificate.tree
     for addr, i in certificate.grafts.items():
         where = addr or "root"
@@ -116,7 +110,7 @@ def check_certificate_report(
         if rec.anchor not in tree.labels:
             return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
         if leaf not in anchor_of:
-            return False, f"pumped leaf {leaf} is not increasing"
+            return False, f"pumped leaf {leaf or 'root'} is not increasing"
         if anchor_of[leaf] != rec.anchor:
             return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
         gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter
@@ -158,30 +152,19 @@ def check_unbounded_witness(
     if len(witness.n_values) != k - j:
         return False, "need one side value per cycle transition"
 
-    def targets(ref: tuple[str, int]) -> tuple[int, ...]:
-        kind, idx = ref
-        if kind == "unary":
-            if not 0 <= idx < len(system.unary):
-                raise IndexError
-            return (system.unary[idx].target,)
-        if kind == "branch":
-            if not 0 <= idx < len(system.branching):
-                raise IndexError
-            t = system.branching[idx]
-            return (t.left, t.right)
-        raise IndexError
-
-    try:
-        for i in range(1, k + 1):
-            ref = trans[i - 1]
-            kind, idx = ref
-            src = system.unary[idx].source if kind == "unary" else system.branching[idx].source
-            if src != states[i - 1]:
-                return False, f"transition {i} does not start at state {i - 1} of the walk"
-            if states[i] not in targets(ref):
-                return False, f"state {i} of the walk is not a target of transition {i}"
-    except (IndexError, ValueError):
-        return False, "transition reference out of range"
+    walk, side_targets = [], set()
+    for i in range(1, k + 1):
+        try:
+            t = _transition(system, trans[i - 1])
+        except ValueError:
+            return False, "transition reference out of range"
+        targets = (t.target,) if isinstance(t, UnaryTransition) else (t.left, t.right)
+        if t.source != states[i - 1]:
+            return False, f"transition {i} does not start at state {i - 1} of the walk"
+        if states[i] not in targets:
+            return False, f"state {i} of the walk is not a target of transition {i}"
+        walk.append(t)
+        side_targets.update(targets)
 
     if states[k] != states[j]:
         return False, "the walk does not re-enter the state at the recorded index"
@@ -191,25 +174,22 @@ def check_unbounded_witness(
 
     # plain modulus-1 questions; the targets at 0 share one table
     cover = ResidueCache(system, budget)
-    side_targets = sorted({p for ref in trans for p in targets(ref)})
-    for p in side_targets:
+    for p in sorted(side_targets):
         if not cover.query(p, 0, 1):
             return False, f"target state {system.state_name(p)} does not cover 0"
 
     total_gain = 0
     cap = system.num_states + 1
     for pos, i in enumerate(range(j + 1, k + 1)):
-        ref = trans[i - 1]
-        kind, idx = ref
+        t = walk[i - 1]
         n_i = witness.n_values[pos]
         if not 0 <= n_i <= cap:
             return False, f"side value for transition {i} outside [0, {cap}]"
-        if kind == "unary":
+        if isinstance(t, UnaryTransition):
             if n_i != 0:
                 return False, f"unary transition {i} must carry side value 0"
-            effect = system.unary[idx].delta
+            effect = t.delta
         else:
-            t = system.branching[idx]
             sibling = t.right if states[i] == t.left else t.left
             if not cover.query(sibling, n_i, 1):
                 return False, f"sibling of transition {i} is not coverable at {n_i}"

@@ -39,6 +39,8 @@ from .model import (
     PartialTree,
     SemanticError,
     Witness,
+    _transition,
+    _transition_line,
     certificate_from_text,
     certificate_to_text,
     classify_nodes,
@@ -166,23 +168,9 @@ def _require(args, flag: str):
 def _witness_lines(system: Bvass1, witness: Witness) -> list[str]:
     lines = [f"witness re-entry {witness.j}"]
     lines.append("witness states " + " ".join(system.state_name(q) for q in witness.states))
-    for i, (kind, idx) in enumerate(witness.transitions, start=1):
-        if kind == "unary":
-            t = system.unary[idx]
-            desc = (
-                f"unary {system.state_name(t.source)} "
-                f"{'+1' if t.delta > 0 else t.delta} {system.state_name(t.target)}"
-            )
-        else:
-            t = system.branching[idx]
-            desc = (
-                f"branch {system.state_name(t.source)} "
-                f"{system.state_name(t.left)} {system.state_name(t.right)}"
-            )
-        suffix = ""
-        if i > witness.j:
-            suffix = f" n_i={witness.n_values[i - witness.j - 1]}"
-        lines.append(f"witness step {i} {desc}{suffix}")
+    for i, rule in enumerate(witness.transitions, start=1):
+        side = f" n_i={witness.n_values[i - witness.j - 1]}" if i > witness.j else ""
+        lines.append(f"witness step {i} {_transition_line(system, _transition(system, rule))}{side}")
     return lines
 
 

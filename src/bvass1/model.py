@@ -14,8 +14,9 @@ state with counter zero.  This module holds the types, the text formats,
 the tree validators, and the node classifications (increasing nodes and
 their anchors) that the decision engines build on, and what the
 decisions hand out and are charged: reach certificates with their text
-format, unboundedness witnesses, and the work budget.  It imports nothing
-else from the package, so ``check`` reads an artifact without the engine.
+format, unboundedness witnesses, and the work budget.  Rules are resolved,
+written and checked here alone.  It imports nothing else from the
+package, so ``check`` reads an artifact without the engine.
 
 Node addresses are strings over "0"/"1"; the root is the empty string and
 is spelled "e" in text files.
@@ -156,7 +157,7 @@ class Bvass1:
 
     @cached_property
     def transition_sets(self) -> tuple[frozenset[UnaryTransition], frozenset[BranchTransition]]:
-        """(unary, branching) as sets, for the checkers' tests whether a
+        """(unary, branching) as sets, for ``_step_fault``'s test whether a
         step is one of the system's transitions."""
         return frozenset(self.unary), frozenset(self.branching)
 
@@ -338,14 +339,27 @@ def format_bvass(system: Bvass1) -> str:
     """Render a system in the text format; parse(format(B)) == B."""
     lines = [f"state {name}" for name in system.state_names]
     lines += [f"final {system.state_name(f)}" for f in sorted(system.finals)]
-    for t in system.unary:
-        z = f"+{t.delta}" if t.delta > 0 else str(t.delta)
-        lines.append(f"unary {system.state_name(t.source)} {z} {system.state_name(t.target)}")
-    for t in system.branching:
-        lines.append(
-            f"branch {system.state_name(t.source)} {system.state_name(t.left)} {system.state_name(t.right)}"
-        )
+    lines += [_transition_line(system, t) for t in system.unary + system.branching]
     return "\n".join(lines) + "\n"
+
+
+def _transition(system: Bvass1, rule) -> UnaryTransition | BranchTransition:
+    """The transition a rule reference names: ("unary", i) or ("branch", i),
+    as ``rule_index`` hands them out and ``Witness.transitions`` carries
+    them.  Anything else raises ValueError."""
+    if type(rule) is tuple and len(rule) == 2 and type(rule[1]) is int:
+        table = system.unary if rule[0] == "unary" else system.branching if rule[0] == "branch" else ()
+        if 0 <= rule[1] < len(table):
+            return table[rule[1]]
+    raise ValueError(f"no transition {rule!r}")
+
+
+def _transition_line(system: Bvass1, t: UnaryTransition | BranchTransition) -> str:
+    """The ``unary`` or ``branch`` directive that writes transition t."""
+    names = system.state_names
+    if isinstance(t, UnaryTransition):
+        return f"unary {names[t.source]} {'+1' if t.delta > 0 else t.delta} {names[t.target]}"
+    return f"branch {names[t.source]} {names[t.left]} {names[t.right]}"
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +521,6 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
     if not tree.labels:
         return False, None, "empty tree"
     labels = tree.labels
-    unary, branching = system.transition_sets
     shape: list[tuple[int, str, str]] = []
     links = 0  # (node, child) pairs present
     for addr, cfg in labels.items():
@@ -517,16 +530,10 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
             if rcfg is not None:
                 links += 1
                 shape.append((len(addr), addr, "node has only a right child"))
-        elif rcfg is not None:
-            links += 2
-            if (cfg.state, lcfg.state, rcfg.state) not in branching:
-                shape.append((len(addr), addr, "no branching transition matches the children"))
-            elif lcfg.counter + rcfg.counter != cfg.counter:
-                shape.append((len(addr), addr, "children counters do not sum to the parent counter"))
         else:
-            links += 1
-            if (cfg.state, lcfg.counter - cfg.counter, lcfg.state) not in unary:
-                shape.append((len(addr), addr, "no unary transition matches the child"))
+            links += 1 if rcfg is None else 2
+            if why := _step_fault(system, cfg, lcfg, rcfg):
+                shape.append((len(addr), addr, why))
     # every node but a root "" is some node's child exactly when the domain
     # is prefix-closed over 0/1; only then can the domain scan be skipped
     domain: list[tuple[int, str, str]] = []
@@ -540,6 +547,20 @@ def validate_partial_tree_report(system: Bvass1, tree: PartialTree) -> tuple[boo
         _, addr, why = min(domain or shape)
         return False, addr, why
     return True, None, "ok"
+
+
+def _step_fault(system: Bvass1, cfg: Config, left: Config, right: Optional[Config] = None) -> Optional[str]:
+    """How a node labelled cfg fails to take one of the system's steps to
+    its left child, and its right child when there is one, or None."""
+    unary, branching = system.transition_sets
+    if right is None:
+        if (cfg.state, left.counter - cfg.counter, left.state) not in unary:
+            return "no unary transition matches the child"
+    elif (cfg.state, left.state, right.state) not in branching:
+        return "no branching transition matches the children"
+    elif left.counter + right.counter != cfg.counter:
+        return "children counters do not sum to the parent counter"
+    return None
 
 
 def validate_partial_tree(system: Bvass1, tree: PartialTree) -> bool:

@@ -348,7 +348,7 @@ class FixpointTables:
     def _fire_top(self, block: _Block, bits: int, rule: tuple) -> None:
         """Probe each row's anchors ``bits``, strictly below its leaf counter;
         a positive probe adds the anchor's bit to the reach table by the pump
-        rule ("pump_" + rule[0], the row's view index) + rule[1:]."""
+        rule ("pump", the row's view index, rule)."""
         bits &= ~block.probed
         if not bits:
             return
@@ -357,7 +357,6 @@ class FixpointTables:
         masks = reach.masks
         bits &= ~(masks[s] * block.rep)
         stride = block.stride
-        kind, tail = "pump_" + rule[0], rule[1:]
         while bits:
             low = bits & -bits
             bits ^= low
@@ -367,7 +366,7 @@ class FixpointTables:
             block.probed |= low
             m_star = block.m_lo + r
             if self._probe(s, m_star, m_star - n):
-                reach.add(s, 1 << n, (kind, block.first + r) + tail)
+                reach.add(s, 1 << n, ("pump", block.first + r, rule))
         # bits probed positive earlier are already reach bits; nothing to redo
 
     def _run(self) -> None:
@@ -376,9 +375,7 @@ class FixpointTables:
         while queue:
             key = queue.popleft()
             if type(key) is int:
-                delta = reach.step(key)
-                if delta:
-                    self._on_reach_delta(key, delta)
+                self._on_reach_delta(key, reach.step(key))
             else:
                 block, q = key
                 delta = block.pending[q]
@@ -531,11 +528,9 @@ def _replay_step(
         return False, ()
     if kind == "self":
         return False, None
-    starts_path = kind.startswith("pump_")
+    starts_path = kind == "pump"
     if starts_path:
-        # ("pump_unary", ci, ti) or ("pump_branch", ci, bi, p_side)
-        ci = rule[1]
-        rule = (kind[5:],) + rule[2:]
+        _, ci, rule = rule  # the path rule that derived the anchor
     if rule[0] == "unary":
         _, z, target = reach.system.unary[rule[1]]
         return starts_path, (("0", (ci, target, m + z)),)

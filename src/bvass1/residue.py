@@ -226,8 +226,7 @@ class BoundedReach(EventLog):
         self.tick = 0
         self.up, self.by_left, self.by_right, self._loops = system.rule_index
         self.masks = [0] * nq
-        self._pending = [0] * nq
-        self._queued = [False] * nq
+        self._pending = [0] * nq  # nonzero exactly while q is queued
         self.queue: deque = deque()
         for f in sorted(system.finals):
             self.add(f, 1, ("final",))
@@ -259,13 +258,12 @@ class BoundedReach(EventLog):
                     self.tick += 1
                     log[q].append((self.tick, up, fill))
         self.masks[q] = mask
-        self._pending[q] |= mask & ~old
-        if not self._queued[q]:
-            self._queued[q] = True
+        if not self._pending[q]:
             self.queue.append(q)
+        self._pending[q] |= mask & ~old
 
     def step(self, q: int) -> int:
-        """Apply the system's rules to the bits q gained since its last step; returns them.
+        """Apply the system's rules to the bits queued q gained since its last step; returns them.
 
         A rule is applied only when it can yield a bit its source lacks: a
         branch rule needs a source that is not full and a sibling that is not
@@ -273,27 +271,25 @@ class BoundedReach(EventLog):
         and with them the masks, logs and ticks, are those of applying every
         rule.
         """
-        self._queued[q] = False
         delta = self._pending[q]
-        if delta:
-            self._pending[q] = 0
-            masks, add, full = self.masks, self.add, self.full
-            for (src, z, rule) in self.up[q]:
-                bits = _shift_parent(delta, z) & full & ~masks[src]
+        self._pending[q] = 0
+        masks, add, full = self.masks, self.add, self.full
+        for (src, z, rule) in self.up[q]:
+            bits = _shift_parent(delta, z) & full & ~masks[src]
+            if bits:
+                add(src, bits, rule)
+        for (src, right, rule) in self.by_left[q]:
+            room = full & ~masks[src]
+            if room and masks[right]:
+                bits = _sumset(delta, masks[right]) & room
                 if bits:
                     add(src, bits, rule)
-            for (src, right, rule) in self.by_left[q]:
-                room = full & ~masks[src]
-                if room and masks[right]:
-                    bits = _sumset(delta, masks[right]) & room
-                    if bits:
-                        add(src, bits, rule)
-            for (src, left, rule) in self.by_right[q]:
-                room = full & ~masks[src]
-                if room and masks[left]:
-                    bits = _sumset(masks[left], delta) & room
-                    if bits:
-                        add(src, bits, rule)
+        for (src, left, rule) in self.by_right[q]:
+            room = full & ~masks[src]
+            if room and masks[left]:
+                bits = _sumset(masks[left], delta) & room
+                if bits:
+                    add(src, bits, rule)
         return delta
 
     def run(self) -> None:

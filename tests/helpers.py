@@ -228,7 +228,7 @@ def naive_check_certificate_report(system: Bvass1, certificate, claimed: Config)
         if rec.anchor not in tree.labels:
             return False, f"pump anchor {rec.anchor!r} is not a node of the tree"
         if leaf not in cls.increasing:
-            return False, f"pumped leaf {leaf} is not increasing"
+            return False, f"pumped leaf {leaf or 'root'} is not increasing"
         if cls.anchor_of[leaf] != rec.anchor:
             return False, f"recorded anchor of leaf {leaf} is not its deepest smaller ancestor"
         gap = tree.labels[leaf].counter - tree.labels[rec.anchor].counter

@@ -74,7 +74,6 @@ class _EveryRuleKernel(BoundedReach):
     """The kernel with a step that applies every rule to every delta."""
 
     def step(self, q: int) -> int:
-        self._queued[q] = False
         delta = self._pending[q]
         if delta:
             self._pending[q] = 0

@@ -6,7 +6,8 @@ name they still import is ``residue.ResidueCache``: both checkers decide
 their residue and coverability questions through it.  A test that imports
 ``bvass1.check`` in a fresh interpreter and lists ``sys.modules`` would
 show nothing, since importing ``bvass1.check`` runs ``bvass1/__init__``,
-which loads every engine module.
+which loads every engine module.  The system's rules are resolved,
+written and checked in ``bvass1.model`` alone.
 """
 from __future__ import annotations
 
@@ -92,19 +93,44 @@ def test_model_imports_nothing_from_the_package():
     assert _package_imports("model") == set()
 
 
-def test_checkers_are_defined_in_check_alone():
-    checkers = {"check_certificate_report", "_shared_parts_report", "check_unbounded_witness"}
-    defined: dict[str, list[str]] = {name: [] for name in checkers}
+def _defining_modules(names: set[str]) -> dict[str, list[str]]:
+    """Per name, the modules that define it: by a def, or by an assignment
+    that would alias it."""
+    defined: dict[str, list[str]] = {name: [] for name in names}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            # a def, or an assignment that would alias a checker elsewhere
-            if isinstance(node, ast.FunctionDef) and node.name in checkers:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
                 defined[node.name].append(path.stem)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id in checkers:
+                    if isinstance(target, ast.Name) and target.id in names:
                         defined[target.id].append(path.stem)
-    assert defined == {name: ["check"] for name in checkers}
+    return defined
+
+
+def test_checkers_are_defined_in_check_alone():
+    checkers = {"check_certificate_report", "_shared_parts_report", "check_unbounded_witness"}
+    assert _defining_modules(checkers) == {name: ["check"] for name in checkers}
+
+
+def test_rules_are_resolved_written_and_checked_in_model_alone():
+    rules = {"_transition", "_transition_line", "_step_fault"}
+    assert _defining_modules(rules) == {name: ["model"] for name in rules}
+
+
+def test_check_reads_no_transition_table_of_its_own():
+    # a step is resolved by model._transition and tested by model._step_fault
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "check.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "transition_sets":
+            found.append(("transition_sets", node.lineno))
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("unary", "branching")
+        ):
+            found.append((node.value.attr, node.lineno))
+    assert found == []
 
 
 def test_public_names_are_pinned_and_resolve():

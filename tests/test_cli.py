@@ -3,8 +3,17 @@ from __future__ import annotations
 
 import json
 
-from bvass1.cli import main
-from bvass1.model import parse_bvass, tree_from_text
+from bvass1.cli import _witness_lines, main
+from bvass1.cover_bound import unbounded_report
+from bvass1.gen import (
+    gen_binary_constant,
+    gen_doubling,
+    gen_mcvp,
+    gen_random,
+    gen_random_circuit,
+    gen_subset_sum,
+)
+from bvass1.model import format_bvass, parse_bvass, tree_from_text
 
 import pytest
 
@@ -123,6 +132,40 @@ def test_decide_bounded_witness_lines(loop_file, capsys):
     assert out[1] == "witness re-entry 0"
     assert out[2] == "witness states a a"
     assert out[3] == "witness step 1 unary a -1 a n_i=0"
+
+
+# a cycle through a branch whose side c feeds on the lap's counter
+_BRANCH_GADGET = "state ga\nstate gc\nstate gf\nfinal gf\nbranch ga gc ga\nunary ga 0 gf\nunary gc -1 gf\n"
+
+
+def test_witness_step_lines_write_transitions_as_the_system_format_does():
+    # the gen families are bounded everywhere, so each is joined to a gadget
+    # whose cycle runs through a branch
+    families = [
+        gen_doubling(3),
+        gen_binary_constant(5)[0],
+        gen_subset_sum([2, 3, 5], 7)[0],
+        gen_mcvp(gen_random_circuit(1, 10))[0],
+    ]
+    systems = [parse_bvass(format_bvass(s) + _BRANCH_GADGET) for s in families]
+    systems += [gen_random(2 + seed % 4, 2 + seed % 6, seed % 3, 1, seed) for seed in range(60)]
+    kinds = {"unary": 0, "branch": 0}
+    for system in systems:
+        # format_bvass writes the states, the finals, the unary and then the branch lines
+        written = format_bvass(system).splitlines()
+        first = {"unary": system.num_states + len(system.finals)}
+        first["branch"] = first["unary"] + len(system.unary)
+        for state in range(system.num_states):
+            verdict, _, witness = unbounded_report(system, state)
+            if not verdict:
+                continue
+            steps = _witness_lines(system, witness)[2:]
+            assert len(steps) == len(witness.transitions)
+            for i, (line, (kind, idx)) in enumerate(zip(steps, witness.transitions), start=1):
+                directive = line.removeprefix(f"witness step {i} ").partition(" n_i=")[0]
+                assert directive == written[first[kind] + idx], (system, state, i)
+                kinds[kind] += 1
+    assert kinds["unary"] > 20 and kinds["branch"] > 20, kinds
 
 
 def test_witness_flag_limited_to_bounded(b2_file, capsys):

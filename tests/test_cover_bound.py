@@ -228,6 +228,18 @@ def test_checker_rejects_bad_shapes():
     assert "must carry side value 0" in check_unbounded_witness(system, a, bad)[1]
 
 
+@pytest.mark.parametrize(
+    "ref",
+    [("unary", "0"), ("unary", 0.0), None, ("unary",), ("unary", -1), ("loop", 0), ("branch", 0)],
+)
+def test_checker_refuses_every_malformed_reference(ref):
+    # the loop gadget has no branching transition, so ("branch", 0) names none
+    system = loop_gadget()
+    a = system.state_id("a")
+    bad = Witness(states=(a, a), transitions=(ref,), j=0, n_values=(0,))
+    assert check_unbounded_witness(system, a, bad) == (False, "transition reference out of range")
+
+
 def test_checker_rejects_wrong_start_state():
     system = loop_gadget()
     ok, why = check_unbounded_witness(system, system.state_id("f"), _loop_witness(system))

@@ -237,6 +237,13 @@ def test_checker_charges_a_default_budget():
     assert budget.used == 3 + 1002 + 1  # |Q|·(3d + cap + 1), one table at cap n + 2|Q|
 
 
+def test_checker_names_a_pumped_root():
+    system = parse_bvass("state q\nfinal q\n")
+    cert = certificate_from_text(system, "e q 0\npump e e 1\n")
+    ok, why = check_certificate_report(system, cert, Config(0, 0))
+    assert not ok and why == "pumped leaf root is not increasing"
+
+
 def test_checker_rejects_non_leaf_pump_source():
     system = loop_gadget()
     query, cert = _decide_extract(system, "a", 2)
