@@ -139,17 +139,17 @@ def check_unbounded_witness(
     of every transition target at zero, the side values against fresh
     coverability queries, and the positive-gain sum.  The coverability
     tables are charged to ``budget``, a fresh ``Budget()`` when none is given.
+    A field not of the type ``Witness`` declares fails its clause.
     """
-    states, trans = witness.states, witness.transitions
-    k = len(trans)
-    j = witness.j
-    if len(states) != k + 1:
+    states, trans, j, n_values = witness.states, witness.transitions, witness.j, witness.n_values
+    if type(states) is not tuple or type(trans) is not tuple or len(states) != len(trans) + 1:
         return False, "state sequence and transition sequence lengths disagree"
+    k = len(trans)
     if not 1 <= k <= system.num_states:
         return False, f"walk length {k} outside [1, {system.num_states}]"
-    if not 0 <= j < k:
-        return False, f"re-entry index {j} outside [0, {k - 1}]"
-    if len(witness.n_values) != k - j:
+    if type(j) is not int or not 0 <= j < k:
+        return False, f"re-entry index {j!r} outside [0, {k - 1}]"
+    if type(n_values) is not tuple or len(n_values) != k - j:
         return False, "need one side value per cycle transition"
 
     walk, side_targets = [], set()
@@ -182,8 +182,8 @@ def check_unbounded_witness(
     cap = system.num_states + 1
     for pos, i in enumerate(range(j + 1, k + 1)):
         t = walk[i - 1]
-        n_i = witness.n_values[pos]
-        if not 0 <= n_i <= cap:
+        n_i = n_values[pos]
+        if type(n_i) is not int or not 0 <= n_i <= cap:
             return False, f"side value for transition {i} outside [0, {cap}]"
         if isinstance(t, UnaryTransition):
             if n_i != 0:

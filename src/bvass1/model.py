@@ -144,16 +144,21 @@ class Bvass1:
         (source, sibling, rule) for the branching ones with p as left resp.
         right child, and ``loops[p]`` holds p's +1 and -1 self-loop rules or None.
 
-        Built on first read; ``parse_bvass`` fills it while it reads the
-        transitions, through the same ``_RuleIndex``."""
-        index = _RuleIndex()
-        for _ in self.state_names:
-            index.add_state()
+        Built on first read, whichever way the system was made; of two
+        self-loops with one shift, ``loops`` keeps the later."""
+        n = len(self.state_names)
+        up, by_left, by_right = ([[] for _ in range(n)] for _ in range(3))
+        loops: list[list[Optional[tuple]]] = [[None, None] for _ in range(n)]
         for i, (src, z, tgt) in enumerate(self.unary):
-            index.add_unary(i, src, z, tgt)
+            rule = ("unary", i)
+            up[tgt].append((src, z, rule))
+            if src == tgt and z:
+                loops[src][z < 0] = rule
         for i, (src, left, right) in enumerate(self.branching):
-            index.add_branch(i, src, left, right)
-        return index.freeze()
+            rule = ("branch", i)
+            by_left[left].append((src, right, rule))
+            by_right[right].append((src, left, rule))
+        return tuple(tuple(map(tuple, rows)) for rows in (up, by_left, by_right, loops))
 
     @cached_property
     def transition_sets(self) -> tuple[frozenset[UnaryTransition], frozenset[BranchTransition]]:
@@ -175,40 +180,6 @@ class Bvass1:
             for q in sources:
                 succ[q].add(p)
         return tuple(map(frozenset, succ)), pred
-
-
-class _RuleIndex:
-    """``Bvass1.rule_index`` under construction: the one place that says how
-    a transition enters it.  States are added in id order, each before the
-    transitions that name it."""
-
-    __slots__ = ("up", "by_left", "by_right", "loops")
-
-    def __init__(self):
-        self.up: list[list[tuple]] = []
-        self.by_left: list[list[tuple]] = []
-        self.by_right: list[list[tuple]] = []
-        self.loops: list[list[Optional[tuple]]] = []
-
-    def add_state(self) -> None:
-        self.up.append([])
-        self.by_left.append([])
-        self.by_right.append([])
-        self.loops.append([None, None])
-
-    def add_unary(self, i: int, src: int, z: int, tgt: int) -> None:
-        rule = ("unary", i)
-        self.up[tgt].append((src, z, rule))
-        if src == tgt and z:
-            self.loops[src][z < 0] = rule
-
-    def add_branch(self, i: int, src: int, left: int, right: int) -> None:
-        rule = ("branch", i)
-        self.by_left[left].append((src, right, rule))
-        self.by_right[right].append((src, left, rule))
-
-    def freeze(self) -> tuple[tuple[tuple, ...], ...]:
-        return tuple(tuple(map(tuple, rows)) for rows in (self.up, self.by_left, self.by_right, self.loops))
 
 
 def validate_bvass(system: Bvass1) -> list[str]:
@@ -253,16 +224,15 @@ def parse_bvass(text: str) -> Bvass1:
     ``unary <src> <z> <tgt>`` and ``branch <src> <left> <right>``;
     ``#`` starts a comment.  Several directives may share a line; none
     spans lines.  States must be declared before use; declaration order
-    fixes their ids.  The system comes with its name index and its
-    ``rule_index`` already filled, as the transitions were read.
+    fixes their ids.  The parser's dict from names to ids becomes the
+    system's name index; ``rule_index`` is built on first read, as for
+    any system.
     """
     names: list[str] = []
     ids: dict[str, int] = {}
     unary: list[UnaryTransition] = []
     branching: list[BranchTransition] = []
     finals: set[int] = set()
-    index = _RuleIndex()
-    add_state, add_unary, add_branch = index.add_state, index.add_unary, index.add_branch
     new = tuple.__new__  # a transition without NamedTuple.__new__'s call
     lines = text.splitlines()
     if "#" in text:
@@ -288,7 +258,6 @@ def parse_bvass(text: str) -> Bvass1:
                         if z not in Z_VALUES:
                             raise SemanticError(f"line {line_no}: counter shift must be -1, 0 or +1")
                     s, t = ids[src], ids[tgt]
-                    add_unary(len(unary), s, z, t)
                     unary.append(new(UnaryTransition, (s, z, t)))
                     pos += 4
                 elif word == "branch":
@@ -296,7 +265,6 @@ def parse_bvass(text: str) -> Bvass1:
                         raise FormatError(line_no, "branch needs <src> <left> <right>")
                     src, left, right = tokens[pos + 1 : pos + 4]
                     s, a, b = ids[src], ids[left], ids[right]
-                    add_branch(len(branching), s, a, b)
                     branching.append(new(BranchTransition, (s, a, b)))
                     pos += 4
                 elif word == "state":
@@ -309,7 +277,6 @@ def parse_bvass(text: str) -> Bvass1:
                         raise SemanticError(f"line {line_no}: duplicate state {name!r}")
                     ids[name] = len(names)
                     names.append(name)
-                    add_state()
                     pos += 2
                 elif word == "final":
                     if pos + 1 >= ntok:
@@ -321,8 +288,8 @@ def parse_bvass(text: str) -> Bvass1:
     except KeyError as exc:
         raise SemanticError(f"line {line_no}: unknown state {exc.args[0]!r}") from None
     # Every check of validate_bvass has passed above, so the fields are
-    # set directly, with the two cached properties (a cached_property keeps
-    # its value in the instance dict under its own name).
+    # set directly, with the name index as the cached ``_name_index`` (a
+    # cached_property keeps its value in the instance dict under its own name).
     system = object.__new__(Bvass1)
     system.__dict__.update(
         state_names=tuple(names),
@@ -330,7 +297,6 @@ def parse_bvass(text: str) -> Bvass1:
         branching=tuple(branching),
         finals=frozenset(finals),
         _name_index=ids,
-        rule_index=index.freeze(),
     )
     return system
 

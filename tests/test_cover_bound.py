@@ -1,6 +1,8 @@
 """Coverability and the gain-graph boundedness decision."""
 from __future__ import annotations
 
+import dataclasses
+
 from bvass1.check import check_unbounded_witness
 from bvass1.cover_bound import build_gain_graph, coverable, unbounded, unbounded_report
 from bvass1.gen import gen_doubling, gen_random
@@ -238,6 +240,31 @@ def test_checker_refuses_every_malformed_reference(ref):
     a = system.state_id("a")
     bad = Witness(states=(a, a), transitions=(ref,), j=0, n_values=(0,))
     assert check_unbounded_witness(system, a, bad) == (False, "transition reference out of range")
+
+
+@pytest.mark.parametrize(
+    "fields, why",
+    [
+        ({"j": "0"}, "re-entry index '0' outside [0, 0]"),
+        ({"j": 0.0}, "re-entry index 0.0 outside [0, 0]"),
+        ({"j": None}, "re-entry index None outside [0, 0]"),
+        ({"n_values": ("0",)}, "side value for transition 1 outside [0, 3]"),
+        ({"n_values": (None,)}, "side value for transition 1 outside [0, 3]"),
+        ({"n_values": (0.0,)}, "side value for transition 1 outside [0, 3]"),
+        ({"n_values": 5}, "need one side value per cycle transition"),
+        ({"states": 5}, "state sequence and transition sequence lengths disagree"),
+        ({"transitions": 5}, "state sequence and transition sequence lengths disagree"),
+    ],
+    ids=["j-str", "j-float", "j-none", "side-str", "side-none", "side-float", "sides-int", "states-int", "steps-int"],
+)
+def test_checker_names_the_clause_of_a_mistyped_field(fields, why):
+    # a climbing-down loop that gains one a lap; each case mistypes one field
+    system = parse_bvass("state a  state f\nfinal f\nunary a -1 a\nunary a 0 f\n")
+    a = system.state_id("a")
+    good = Witness(states=(a, a), transitions=(("unary", 0),), j=0, n_values=(0,))
+    assert check_unbounded_witness(system, a, good) == (True, "ok")
+    bad = dataclasses.replace(good, **fields)
+    assert check_unbounded_witness(system, a, bad) == (False, why)
 
 
 def test_checker_rejects_wrong_start_state():

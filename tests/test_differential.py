@@ -25,6 +25,7 @@ from bvass1.model import (
     certificate_from_text,
     certificate_to_text,
     classify_nodes,
+    format_bvass,
     is_exclusive,
     parse_bvass,
     raw_tree_from_text,
@@ -282,7 +283,8 @@ def test_cyclic_states_match_naive_on_every_family():
 def test_state_graph_and_pump_context_backward_sets_match_naive():
     # the rule index lists each rule under its premise states, in transition
     # order; a pump context's path bits lie only at states that can reach
-    # its state
+    # its state.  Each system is checked as built and as parsed back from
+    # its text, so the index is compared on both constructors' systems.
     checked = 0
     for system in _family_systems():
         nq = system.num_states
@@ -291,20 +293,21 @@ def test_state_graph_and_pump_context_backward_sets_match_naive():
             succ[t.source].add(t.target)
         for t in system.branching:
             succ[t.source].update((t.left, t.right))
-        assert list(system.state_graph[0]) == succ
-        assert list(system.state_graph[1]) == [{q for q in range(nq) if p in succ[q]} for p in range(nq)]
-        assert system.transition_sets == (set(system.unary), set(system.branching))
-        assert system.transition_sets is system.transition_sets  # built once, read by both checkers
-        up, by_left, by_right, loops = system.rule_index
         unary = list(enumerate(system.unary))
         branching = list(enumerate(system.branching))
-        for p in range(nq):
-            assert list(up[p]) == [(t.source, t.delta, ("unary", i)) for i, t in unary if t.target == p]
-            assert list(by_left[p]) == [(t.source, t.right, ("branch", i)) for i, t in branching if t.left == p]
-            assert list(by_right[p]) == [(t.source, t.left, ("branch", i)) for i, t in branching if t.right == p]
-            plus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == 1]
-            minus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == -1]
-            assert loops[p] == ((plus or [None])[-1], (minus or [None])[-1])
+        for instance in (system, parse_bvass(format_bvass(system))):
+            assert list(instance.state_graph[0]) == succ
+            assert list(instance.state_graph[1]) == [{q for q in range(nq) if p in succ[q]} for p in range(nq)]
+            assert instance.transition_sets == (set(system.unary), set(system.branching))
+            assert instance.transition_sets is instance.transition_sets  # built once, read by both checkers
+            up, by_left, by_right, loops = instance.rule_index
+            for p in range(nq):
+                assert list(up[p]) == [(t.source, t.delta, ("unary", i)) for i, t in unary if t.target == p]
+                assert list(by_left[p]) == [(t.source, t.right, ("branch", i)) for i, t in branching if t.left == p]
+                assert list(by_right[p]) == [(t.source, t.left, ("branch", i)) for i, t in branching if t.right == p]
+                plus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == 1]
+                minus = [("unary", i) for i, t in unary if t.source == t.target == p and t.delta == -1]
+                assert loops[p] == ((plus or [None])[-1], (minus or [None])[-1])
         if nq > 5:
             continue
 

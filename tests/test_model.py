@@ -199,11 +199,14 @@ def test_parse_matches_the_line_by_line_reader():
 
 
 def test_rule_index_is_built_once_and_lazily():
+    # one builder: a parsed system, like a generated one, builds it on first read
     generated = gen_doubling(3)
-    assert "rule_index" not in vars(generated)  # a generated system builds it on first read
     parsed = parse_bvass(format_bvass(generated))
-    assert "rule_index" in vars(parsed)  # the parser filled it as it read
+    assert "rule_index" not in vars(generated)
+    assert "rule_index" not in vars(parsed)
     assert parsed.rule_index == generated.rule_index
+    assert parsed.rule_index is parsed.rule_index
+    assert generated.rule_index is generated.rule_index
     assert parsed.state_id("q_2") == generated.state_id("q_2") == 4
 
 
