@@ -10,8 +10,8 @@ be checked independently and unrolled into a full derivation tree.
 
 The certificate type and its text format are in ``model``, the checker
 in ``check``.  Extraction writes each pump-free subderivation once as a
-def (``model.Certificate``), numbered bottom-up; expansion writes the
-defs out again.
+def (``model.Certificate``), numbered bottom-up; expansion adds the
+pumps' copies and witnesses as more defs and writes the DAG out once.
 
 The decision engine computes two families of bit tables by a worklist
 fixpoint over counters in [0, B]:
@@ -70,7 +70,6 @@ from .model import (
     PartialTree,
     PumpRecord,
     _def_sizes,
-    _unfold_defs,
     reach_bound,
 )
 from .residue import BoundedReach, EventLog, ResidueCache, _shift_parent, _sumset
@@ -92,7 +91,7 @@ class ExpandOverflow(Exception):
     """Unrolling a certificate would exceed the node allowance."""
 
     def __init__(self, needed: int, allowed: int):
-        super().__init__(f"expansion needs about {needed} nodes, allowed {allowed}")
+        super().__init__(f"expansion needs at least {needed} nodes, allowed {allowed}")
         self.needed = needed
         self.allowed = allowed
 
@@ -566,8 +565,8 @@ def _loop_run(steps: dict[tuple, tuple], q: int, m: int, z: int, bits: int) -> t
 
 
 def _replay(
-    reach: BoundedReach, contexts: list[_Row], state: int, n: int, key_limit: int | None = None
-) -> tuple[dict[int, Def], list[int], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
+    reach: BoundedReach, contexts: list[_Row], state: int, n: int, key_limit: int | None = None, first: int = 0
+) -> tuple[dict[int, Def], dict[str, Config], dict[str, int], dict[str, tuple[str, int]]]:
     """Read the derivation of state(n) back from the first justifications.
 
     A derivation is fixed by its (table, state, counter) keys, so each key
@@ -578,7 +577,7 @@ def _replay(
     its own state heads a run of keys down the loop, all set by that one
     event: the run is taken in one step, and numbered in one step once
     the key below it is done, in the order a key-by-key walk would give.
-    Returns (defs, each def's unfolded size, spine labels with the graft
+    Returns (defs, numbered from ``first``, spine labels with the graft
     leaves, grafts, pumps as leaf -> (anchor, gap)).  ``key_limit`` bounds
     the number of distinct keys; a tree has at least as many nodes.
     """
@@ -586,7 +585,6 @@ def _replay(
     steps: dict[tuple, tuple] = {}
     ids: dict[tuple, Optional[int]] = {}  # key -> def id, None on the spine
     defs: dict[int, Def] = {}
-    sizes: list[int] = []
     runs: dict[tuple, tuple[list[tuple], tuple]] = {}  # head key -> its run, head first, and the key below
     root = (None, state, n)
     stack = [root]
@@ -624,9 +622,8 @@ def _replay(
             i = ids[below]
             for k in reversed(run):
                 if i is not None:
-                    defs[len(defs)] = (Config(k[1], k[2]), (i,))
-                    sizes.append(sizes[i] + 1)
-                    i = len(sizes) - 1
+                    defs[first + len(defs)] = (Config(k[1], k[2]), (i,))
+                    i = first + len(defs) - 1
                 ids[k] = i
             continue
         starts_path, children = step
@@ -634,9 +631,8 @@ def _replay(
         if key[0] is None and not starts_path and children is not None:
             kids = tuple([ids[ck] for _, ck in children])
             if None not in kids:
-                i = len(defs)
+                i = first + len(defs)
                 defs[i] = (Config(key[1], key[2]), kids)
-                sizes.append(1 + sum([sizes[c] for c in kids]))
         ids[key] = i
 
     labels: dict[str, Config] = {}
@@ -662,14 +658,14 @@ def _replay(
             anchor = addr
         for suffix, ck in children:
             spine.append((addr + suffix, ck, anchor))
-    return defs, sizes, labels, grafts, pumps
+    return defs, labels, grafts, pumps
 
 
 def extract_certificate(query: ReachQuery, tables: FixpointTables) -> Certificate:
     """Replay the recorded first justifications into one certificate."""
     if not tables.holds(query.state, query.n):
         raise ValueError("extract_certificate needs a positive decision")
-    defs, _, labels, grafts, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
+    defs, labels, grafts, raw_pumps = _replay(tables.reach, tables.contexts, query.state, query.n)
     pumps = {leaf: PumpRecord(anchor=anchor, modulus=d) for leaf, (anchor, d) in sorted(raw_pumps.items())}
     return Certificate(tree=PartialTree(labels), pumps=pumps, defs=defs, grafts=grafts)
 
@@ -713,26 +709,34 @@ def _witness_value_scan(
 def expand_certificate(system: Bvass1, certificate: Certificate, max_nodes: int) -> PartialTree:
     """Unroll every pump into concrete segments, giving a full derivation tree.
 
-    The defs are first written out under their grafts.  Each pumped leaf
-    l(m*) with anchor gap d then gets a concrete reachable value
-    v = m* + k*d; the anchor-to-leaf segment is repeated k+1 times with
-    the path counters raised by d per copy (side branches copied as they
-    are), and a derivation tree for the witness value, replayed straight
-    under its final address, closes the last copy.  Deeper anchors are
-    processed first, so each pump is unrolled exactly once and later
-    copies duplicate finished subtrees.  The search for a witness value
+    The certificate is folded bottom-up into one DAG of defs, deeper
+    anchors first, and written out once.  A spine node off the pumping
+    paths becomes a def over its children's defs.  At the anchor of a
+    pumped leaf l(m*) with gap d, the witness derivation of a reachable
+    value v = m* + k*d is replayed as defs, and the anchor-to-leaf path is
+    written k+1 times above it, copy i with its counters raised by i*d,
+    every copy sharing the path's side children.  The tree's size is read
+    off the defs before it is written.  The search for a witness value
     gives up at counters above ``DEFAULT_WITNESS_CAP``.
     """
-    sizes = _def_sizes(certificate.defs)
-    grafts = certificate.grafts
-    unfolded = len(certificate.tree) - len(grafts) + sum(sizes[i] for i in grafts.values())
+    labels, grafts, defs = certificate.tree.labels, certificate.grafts, dict(certificate.defs)
+    sizes = _def_sizes(defs)
+    unfolded = len(labels) - len(grafts) + sum(sizes[i] for i in grafts.values())
     if unfolded > max_nodes:
         raise ExpandOverflow(unfolded, max_nodes)
-    labels = certificate.unfold().labels
-    order = sorted(certificate.pumps.items(), key=lambda kv: (-len(kv[1].anchor), kv[1].anchor, kv[0]))
-    for leaf, rec in order:
-        anchor = rec.anchor
-        d = rec.modulus
+    top = max(defs, default=-1) + 1  # the next free id; ids read from text may be sparse
+    anchors = {rec.anchor: (leaf, rec.modulus) for leaf, rec in certificate.pumps.items()}
+    ids = dict(grafts)  # spine address -> def id; a path node gets none, its anchor the top copy
+    for addr in sorted(labels, key=lambda a: (-len(a), a)):
+        if addr in ids or addr in certificate.pumps:
+            continue
+        if addr not in anchors:
+            kids = [ids.get(c) for c in (addr + "0", addr + "1") if c in labels]
+            if None not in kids:
+                defs[top] = (labels[addr], tuple(kids))
+                ids[addr], top = top, top + 1
+            continue
+        leaf, d = anchors[addr]
         leaf_cfg = labels[leaf]
         value, witness, cap_prev = _witness_value_scan(system, leaf_cfg.state, leaf_cfg.counter, d, DEFAULT_WITNESS_CAP)
         k = (value - leaf_cfg.counter) // d
@@ -740,41 +744,35 @@ def expand_certificate(system: Bvass1, certificate: Certificate, max_nodes: int)
         # cheap overflow bounds before any replay: a derivation missing from
         # the cap_prev-bounded fixpoint contains a counter above cap_prev,
         # and a node with counter c heads a subtree of more than c nodes
-        # (its value is consumed one step at a time)
+        # (its value is consumed one step at a time); the path copies are
+        # distinct nodes beside the witness
         if cap_prev >= max_nodes:
             raise ExpandOverflow(cap_prev + 1, max_nodes)
-
-        path_rel = leaf[len(anchor):]
-        seg: dict[str, Config] = {}
-        for a, cfg in labels.items():
-            if a.startswith(anchor) and a != leaf:
-                seg[a[len(anchor):]] = cfg
-        seg_size = len(seg)
-
-        base_nodes = (len(labels) - seg_size - 1) + (k + 1) * seg_size
-        if base_nodes + 1 > max_nodes:
-            raise ExpandOverflow(base_nodes + 1, max_nodes)
-
+        copies = (k + 1) * (len(leaf) - len(addr))
+        if copies + 1 > max_nodes:
+            raise ExpandOverflow(copies + 1, max_nodes)
         try:
-            wit_defs, wit_sizes, _, wit_grafts, _ = _replay(
-                witness, [], leaf_cfg.state, value, key_limit=max_nodes - base_nodes
-            )
+            wit_defs, _, wit_grafts, _ = _replay(witness, [], leaf_cfg.state, value, max_nodes - copies, top)
         except _ReplayOverLimit:
             raise ExpandOverflow(max_nodes + 1, max_nodes) from None
-        wit_root = wit_grafts[""]
-        projected = base_nodes + wit_sizes[wit_root]
-        if projected > max_nodes:
-            raise ExpandOverflow(projected, max_nodes)
+        defs.update(wit_defs)
+        below = wit_grafts[""]
+        top += len(wit_defs)
+        # the path bottom-up: each node's label, the child that goes on down
+        # the path, and the def of its other child, if any
+        path = []
+        for j in range(len(leaf) - 1, len(addr) - 1, -1):
+            other = leaf[:j] + "10"[int(leaf[j])]
+            path.append((labels[leaf[:j]], leaf[j], ids[other] if other in labels else None))
+        for i in range(k, -1, -1):
+            for cfg, on, other in path:
+                kids = (below,) if other is None else (below, other) if on == "0" else (other, below)
+                defs[top] = (Config(cfg.state, cfg.counter + i * d), kids)
+                below, top = top, top + 1
+        ids[addr] = below
 
-        out = {a: cfg for a, cfg in labels.items() if not a.startswith(anchor)}
-        for i in range(k + 1):
-            base = anchor + path_rel * i
-            shift = i * d
-            for rel, cfg in seg.items():
-                if path_rel.startswith(rel):
-                    out[base + rel] = Config(cfg.state, cfg.counter + shift)
-                else:
-                    out[base + rel] = cfg
-        _unfold_defs(out, {anchor + path_rel * (k + 1): wit_root}, wit_defs)
-        labels = out
-    return PartialTree(labels)
+    root = ids[""]
+    size = _def_sizes(defs)[root]
+    if size > max_nodes:
+        raise ExpandOverflow(size, max_nodes)
+    return Certificate(PartialTree({"": defs[root][0]}), {}, defs, {"": root}).unfold()

@@ -81,7 +81,7 @@ def _certificate_path(system, state: int, n: int) -> str | None:
     try:
         tree = expand_certificate(system, cert, max_nodes=EXPAND_NODE_LIMIT)
     except ExpandOverflow as exc:
-        assert exc.needed > EXPAND_NODE_LIMIT, "overflow must be justified by the projection"
+        assert exc.needed > EXPAND_NODE_LIMIT, "overflow must name a lower bound above the allowance"
         return "overflow"
     assert is_reachability_tree(system, tree), (state, n)
     assert tree.labels[""] == Config(state, n)

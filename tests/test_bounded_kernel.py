@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bvass1.gen import gen_binary_constant, gen_doubling
 from bvass1.check import check_certificate_report
-from bvass1.model import Bvass1, Certificate, Config, PartialTree, _def_sizes, is_reachability_tree, parse_bvass
+from bvass1.model import Bvass1, Certificate, Config, PartialTree, is_reachability_tree, parse_bvass
 from bvass1.oracle import bounded_reach_set
 from bvass1.reach import (
     ExpandOverflow,
@@ -25,6 +25,7 @@ from bvass1.residue import BoundedReach, _shift_parent, _sumset
 
 from helpers import loop_gadget, naive_replay, random_instances
 from test_max_coverable import _family_systems as _gen_systems
+from test_reach import SHARED_SIDE, _side_pump
 
 # a fills both ways from the one value c hands it; b adds c's value to a's
 BOTH_LOOPS = """
@@ -131,12 +132,10 @@ def test_every_kernel_bit_replays_into_a_derivation():
 def _replay_matching_naive(reach: BoundedReach, contexts: list, state: int, n: int) -> tuple:
     """``_replay`` of state(n), checked against the key-by-key reference.
 
-    Returns (defs, labels, grafts, pumps); the sizes must be the defs'
-    unfolded sizes.
+    Returns (defs, labels, grafts, pumps).
     """
-    defs, sizes, labels, grafts, pumps = _replay(reach, contexts, state, n)
+    defs, labels, grafts, pumps = _replay(reach, contexts, state, n)
     assert (defs, labels, grafts, pumps) == naive_replay(reach, contexts, state, n), (state, n)
-    assert sizes == [size for _, size in sorted(_def_sizes(defs).items())]
     return defs, labels, grafts, pumps
 
 
@@ -217,13 +216,27 @@ def _hub_certificate(k: int, n: int = 0) -> tuple[Bvass1, Certificate]:
     return system, extract_certificate(query, run_query(query))
 
 
-def test_expansion_overflow_boundary_on_the_hub():
-    system, certificate = _hub_certificate(10)
+@pytest.mark.parametrize(
+    "system, state, n, size",
+    [
+        (gen_doubling(10), "q", 0, 4096),
+        (parse_bvass(_side_pump("u t")), "s", 0, 5280),  # two nested pumps
+        (parse_bvass(SHARED_SIDE), "s", 0, 224),
+        (parse_bvass(SHARED_SIDE), "s", 3, 212),
+    ],
+    ids=["hub", "nested-pumps", "shared-side", "shared-side-n3"],
+)
+def test_expansion_overflow_boundary_on_the_hub(system, state, n, size):
+    # every raise names a lower bound on the tree's size, so one node short
+    # of the allowance it names the size exactly
+    query = ReachQuery(system, system.state_id(state), n)
+    certificate = extract_certificate(query, run_query(query))
     tree = expand_certificate(system, certificate, max_nodes=10**6)
-    assert expand_certificate(system, certificate, max_nodes=len(tree)) == tree
+    assert len(tree) == size and is_reachability_tree(system, tree)
+    assert expand_certificate(system, certificate, max_nodes=size) == tree
     with pytest.raises(ExpandOverflow) as err:
-        expand_certificate(system, certificate, max_nodes=len(tree) - 1)
-    assert err.value.needed > err.value.allowed == len(tree) - 1
+        expand_certificate(system, certificate, max_nodes=size - 1)
+    assert (err.value.needed, err.value.allowed) == (size, size - 1)
 
 
 def test_key_limit_inside_a_self_loop_run():

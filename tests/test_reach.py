@@ -654,6 +654,45 @@ def test_side_branch_pump_reaches_the_path_through_a_reach_delta(children, pumps
         assert [batch.holds(q, n) for n in range(nmax + 1)] == [reach.contains(q, n) for n in range(nmax + 1)], q
 
 
+# s's path runs through u, the left child of ``branch s u c``; the side
+# child c(0) comes down c's -1 loop, so it is one def, and every copy of the
+# pumped path hangs that one def beside it
+SHARED_SIDE = format_bvass(gen_doubling(5)) + (
+    "state s\nstate u\nstate c\nunary s 0 q_5\nbranch s u c\nunary u +1 s\nunary c 0 q_f\nunary c -1 c\n"
+)
+
+
+def _renumber_defs(text: str, new_id) -> str:
+    """The certificate text with every def id i written as ``new_id(i)``."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "def":
+            tokens[1] = str(new_id(int(tokens[1])))
+            tokens[4:] = [str(new_id(int(c))) for c in tokens[4:]]
+        elif tokens[1] == "=":
+            tokens[2] = str(new_id(int(tokens[2])))
+        lines.append(" ".join(tokens))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_expansion_of_sparse_def_ids_shares_the_side_def():
+    system = parse_bvass(SHARED_SIDE)
+    s, c = system.state_id("s"), system.state_id("c")
+    _, cert = _decide_extract(system, "s", 0)
+    assert sorted(cert.defs) == [0, 1] and cert.grafts == {"1": 1}
+    assert cert.pumps == {"00": PumpRecord(anchor="", modulus=1)}
+    sparse = certificate_from_text(system, _renumber_defs(certificate_to_text(system, cert), lambda i: 3 * i + 7))
+    assert sorted(sparse.defs) == [7, 10] and sparse.grafts == {"1": 10}
+    assert check_certificate_report(system, sparse, Config(s, 0)) == (True, "ok")
+    tree = expand_certificate(system, cert, max_nodes=10_000)
+    assert len(tree) == 224 and is_reachability_tree(system, tree)
+    assert expand_certificate(system, sparse, max_nodes=10_000) == tree
+    # s(1) .. s(32) climb to the hub's entry, each copy of the path beside c(0)
+    sides = [a + "1" for a, cfg in tree.labels.items() if cfg.state == s and a + "1" in tree.labels]
+    assert len(sides) == 32 and {tree.labels[a] for a in sides} == {Config(c, 0)}
+
+
 def test_expand_preserves_root_on_nonzero_query():
     system = gen_doubling(4)
     query, cert = _decide_extract(system, "q", 5)
