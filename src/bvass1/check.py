@@ -2,9 +2,10 @@
 
 They trust no engine code with an artifact and read it through ``model``
 alone, which imports nothing else from the package.  The one engine name
-imported here is ``residue.ResidueCache``: both checkers decide their
-residue and coverability questions afresh through it, its tables charged
-to a budget (``tests/test_check_imports.py`` pins these imports).
+imported here is ``residue.ResidueCache``: the certificate and witness
+checkers decide their residue and coverability questions afresh through
+it, its tables charged to a budget (``tests/test_check_imports.py`` pins
+these imports).  The profile checker decides nothing: it tests a closure.
 """
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from .model import (
     Bvass1,
     Certificate,
     Config,
+    Profile,
     UnaryTransition,
     Witness,
     _anchor_walk,
     _step_fault,
     _transition,
+    _transition_line,
     is_accepting,
     reach_bound,
     validate_partial_tree_report,
@@ -128,6 +131,72 @@ def check_certificate_report(
 
 def check_certificate(system: Bvass1, certificate: Certificate, claimed: Config) -> bool:
     return check_certificate_report(system, certificate, claimed)[0]
+
+
+def _profile_values(profile: Profile, q: int, top: int) -> set[int]:
+    """The values of state q's set in [0, top], one by one."""
+    t, p = profile.threshold, profile.period
+    values: set[int] = set()
+    for v, bit in enumerate(reversed(bin(profile.masks[q])[2:])):
+        if bit == "1":
+            values.update(range(v, top + 1, p) if v >= t else (v,))
+    return values
+
+
+def check_profile_report(system: Bvass1, profile: Profile, state: int, n: int) -> tuple[bool, str]:
+    """Check that a reach profile refutes state(n); names the first failed clause.
+
+    Redoes the closure of ``model.Profile`` with sets of values on its
+    window [0, W] and plain loops, none of the engine's sumsets or shifts.
+    The clauses, in order: the profile's shape (a natural threshold, a
+    positive period, a mask below T + P for the queried state and for every
+    state a rule of a masked state reaches); ``final``, 0 at every masked
+    final state; ``unary`` and ``branch``, each value a rule of a masked
+    state derives from masked values in the window is in the parent's set;
+    and the claim, n not in the queried state's set.
+    """
+    t, p, masks = profile.threshold, profile.period, profile.masks
+    if type(t) is not int or type(p) is not int or t < 0 or p < 1:
+        return False, f"threshold {t!r} or period {p!r} is not a natural number resp. a positive one"
+    if type(masks) is not dict or state not in masks:
+        return False, f"no mask for the queried state {system.state_name(state)}"
+    for q, bits in masks.items():
+        if type(q) is not int or not 0 <= q < system.num_states:
+            return False, f"mask for {q!r}, which is no state"
+        if type(bits) is not int or bits < 0 or bits >> (t + p):
+            return False, f"mask of state {system.state_name(q)} is not a set of values below T + P = {t + p}"
+    for tr in system.unary + system.branching:
+        children = (tr.target,) if isinstance(tr, UnaryTransition) else (tr.left, tr.right)
+        for c in children:
+            if tr.source in masks and c not in masks:
+                return False, f"state {system.state_name(c)} has no mask, though {_transition_line(system, tr)} enters it"
+    top = profile.window
+    values = {q: _profile_values(profile, q, top) for q in masks}
+    name = system.state_name
+    for f in sorted(system.finals):
+        if f in masks and 0 not in values[f]:
+            return False, f"final state {name(f)} lacks the value 0"
+    for tr in system.unary:
+        if tr.source in masks:
+            for child in sorted(values[tr.target]):
+                parent = child - tr.delta
+                if 0 <= parent <= top and parent not in values[tr.source]:
+                    return False, (
+                        f"{_transition_line(system, tr)}: {name(tr.source)}({parent}) over "
+                        f"{name(tr.target)}({child}) lies outside the profile"
+                    )
+    for tr in system.branching:
+        if tr.source in masks:
+            for x in sorted(values[tr.left]):
+                for y in sorted(values[tr.right]):
+                    if x + y <= top and x + y not in values[tr.source]:
+                        return False, (
+                            f"{_transition_line(system, tr)}: {name(tr.source)}({x + y}) over "
+                            f"{name(tr.left)}({x}) and {name(tr.right)}({y}) lies outside the profile"
+                        )
+    if profile.holds(state, n):
+        return False, f"the profile holds {name(state)}({n}), so it refutes nothing"
+    return True, "ok"
 
 
 def check_unbounded_witness(

@@ -16,10 +16,10 @@ relaxation from the state finds a simple one; a shortest path to it
 plus the cycle fit in |Q| edges and form a witness (``model.Witness``)
 that ``check.check_unbounded_witness`` verifies clause by clause.
 
-The clamped values are the max-coverable profile the reach engine also
-reads (``ResidueCache.max_coverable``), read off one modulus-1 table at
-the clamp; the witness checker does not trust it and asks its own
-modulus-1 questions.
+The clamped values are the largest coverable values the reach engine
+also reads (``ResidueCache.max_coverable``), read off one modulus-1
+table at the clamp; the witness checker does not trust them and asks
+its own modulus-1 questions.
 """
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ def build_gain_graph(system: Bvass1, budget: Budget | None = None) -> GainGraph:
     covered at, clamped to |Q|+1.  Branching transitions have counter
     effect zero.
     """
-    profile = ResidueCache(system, budget).max_coverable(system.num_states + 1)
-    max_cov = [None if m < 0 else m for m in profile]
+    values = ResidueCache(system, budget).max_coverable(system.num_states + 1)
+    max_cov = [None if m < 0 else m for m in values]
     edges: list[GainEdge] = []
     for i, t in enumerate(system.unary):
         if max_cov[t.target] is not None:

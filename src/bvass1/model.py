@@ -14,9 +14,9 @@ state with counter zero.  This module holds the types, the text formats,
 the tree validators, and the node classifications (increasing nodes and
 their anchors) that the decision engines build on, and what the
 decisions hand out and are charged: reach certificates with their text
-format, unboundedness witnesses, and the work budget.  Rules are resolved,
-written and checked here alone.  It imports nothing else from the
-package, so ``check`` reads an artifact without the engine.
+format, reach profiles, unboundedness witnesses, and the work budget.
+Rules are resolved, written and checked here alone.  It imports nothing
+else from the package, so ``check`` reads an artifact without the engine.
 
 Node addresses are strings over "0"/"1"; the root is the empty string and
 is spelled "e" in text files.
@@ -848,6 +848,53 @@ def raw_tree_from_text(
     Def and graft lines go into ``defs`` and ``grafts`` when given.
     """
     return _read_tree_text(text, defs=defs, grafts=grafts)
+
+
+# ---------------------------------------------------------------------------
+# reach profiles
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Per state of ``masks``, an ultimately periodic set of counter values.
+
+    ``masks[q]`` holds q's values below T + P as bits, for the threshold
+    T and the period P; from T on the set repeats with period P, so n >= T
+    is read at T + (n - T) mod P.
+
+    Say the profile holds 0 at every final state of ``masks``, and is
+    closed under every rule whose parent has a mask: a unary step gives
+    the parent child - shift, where that is a natural number, and a branch
+    gives left + right.  The reach sets of the masked states are the least
+    such family, so the profile holds them, and a value it lacks refutes
+    reach (``check.check_profile_report``).
+
+    Closure needs testing on the ``window`` [0, W], W = 2(T + P) + P,
+    only.  A unary step moves a set by one, so both sides of its inclusion
+    repeat with period P from T + 1 on, and agree everywhere once they
+    agree below T + P + 1 <= W.  For a branch, take a sum s = x + y > W of
+    the children's values.  If both x and y were below T + P, s would be
+    at most 2(T + P) - 2; so one, say x, is at least T + P, x - P >= T is a
+    value of that child as well, and s - P is a sum.  Lowering by P so
+    lands in (W - P, W], each step at or above T.  There the parent holds
+    the sum, and the parent's set repeats with period P from T, so it
+    holds s.
+    """
+
+    threshold: int
+    period: int
+    masks: dict[int, int]
+
+    @property
+    def window(self) -> int:
+        """W, the top of the window closure is tested on."""
+        return 2 * (self.threshold + self.period) + self.period
+
+    def holds(self, state: int, n: int) -> bool:
+        t, p = self.threshold, self.period
+        if n >= t + p:
+            n = t + (n - t) % p
+        return bool((self.masks[state] >> n) & 1)
 
 
 # ---------------------------------------------------------------------------

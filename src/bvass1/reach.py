@@ -44,7 +44,11 @@ rules add to it.  A query is decided kernel first.  The kernel saturates
 before any pump context exists, and a query bit it sets is a YES with a
 pump-free certificate.  Otherwise the query is NO when no state of its
 cone lies on a cycle, or when n is above the state's largest coverable
-value.  Only then are the cone's contexts activated on the same kernel,
+value, or when a reach profile of the cone refutes it: an ultimately
+periodic value set per state (``model.Profile``), read off an unjustified
+kernel at a few fixed windows and kept only when it holds the finals and
+is closed under the rules, so that it holds every reachable configuration.
+Only then are the cone's contexts activated on the same kernel,
 and the fixpoint resumes, every path rule read off ``rule_index``.  So
 a single query's tables are complete for that query alone; the batch
 pumps every cyclic state once its kernel has saturated, and is complete
@@ -59,6 +63,7 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional
 
 from .model import (
@@ -68,6 +73,7 @@ from .model import (
     Config,
     Def,
     PartialTree,
+    Profile,
     PumpRecord,
     _def_sizes,
     reach_bound,
@@ -81,6 +87,11 @@ KERNEL = "kernel"
 PUMP_FIXPOINT = "pump fixpoint"
 NO_CYCLE = "no cyclic state in cone"
 ABOVE_COVERABLE = "above largest coverable value"  # followed by the value
+PROFILE = "profile"  # followed by the profile's threshold and period
+
+# The windows [0, N] a reach profile is read on, tried in turn.  They do not
+# grow with the query's counter, so neither does the profile's cost.
+PROFILE_WINDOWS = (16, 32, 64)
 
 # Defensive ceiling on a replayed certificate's spine; extraction of a
 # decided query should stay far below this, so hitting it means an engine bug.
@@ -267,8 +278,10 @@ class FixpointTables:
         self.complete_to = complete_to
         self.budget = budget = Budget() if budget is None else budget
         self.residue_cache = ResidueCache(system, budget)
-        # the max-coverable profile at bound + 1, built by ``profile``
-        self.max_cover: list[int] = []
+        # the largest coverable values at bound + 1, built by ``max_coverable``
+        self.max_coverable_values: list[int] = []
+        # the closed reach profile that refuted the query, if one did
+        self.profile: Profile | None = None
 
         nq = system.num_states
         # the reach masks' window, charged before they exist
@@ -284,11 +297,11 @@ class FixpointTables:
         self.reason = KERNEL
         self._run()
 
-    def profile(self) -> list[int]:
+    def max_coverable(self) -> list[int]:
         """Per state, the largest coverable value up to bound + 1 (-1: none)."""
-        if not self.max_cover:
-            self.max_cover = self.residue_cache.max_coverable(self.bound + 1)
-        return self.max_cover
+        if not self.max_coverable_values:
+            self.max_coverable_values = self.residue_cache.max_coverable(self.bound + 1)
+        return self.max_coverable_values
 
     def pump(self, states: list[int]) -> None:
         """Activate the pump contexts of ``states``, the cyclic states
@@ -297,7 +310,7 @@ class FixpointTables:
         x its width, when it is built."""
         self.reason = PUMP_FIXPOINT
         nq = self.system.num_states
-        top_of = self.profile()
+        top_of = self.max_coverable()
         stride = 2 * self.bound + 2
         per_block = max(1, _BLOCK_BITS // stride)
         for s in states:
@@ -317,7 +330,7 @@ class FixpointTables:
 
     def _probe(self, state: int, n0: int, d: int) -> bool:
         if d == 1:
-            return n0 <= self.max_cover[state]
+            return n0 <= self.max_coverable_values[state]
         return self.residue_cache.query(state, n0, d)
 
     # -- rule application
@@ -414,18 +427,100 @@ class FixpointTables:
         return bool((self.reach_masks[state] >> n) & 1)
 
 
+# ---------------------------------------------------------------------------
+# reach profiles
+
+
+def _periodic(bits: int, t: int, p: int, width: int) -> int:
+    """Bits [0, width) of the set that is ``bits`` below t + p and repeats
+    its bits [t, t + p) with period p from t on."""
+    if width <= t + p:
+        return bits & ((1 << width) - 1)
+    tail, span = bits >> t & ((1 << p) - 1), p
+    while span < width - t:
+        tail |= tail << span
+        span += span
+    return (bits & ((1 << t) - 1) | tail << t) & ((1 << width) - 1)
+
+
+def _tail(mask: int, window: int) -> tuple[int, int] | None:
+    """(t, p) for the smallest period p <= window / 4 with which the bits of
+    ``mask`` on [0, window] repeat from some t <= window / 2, and the least
+    such t; None when there is no such p."""
+    mask &= (1 << (window + 1)) - 1
+    for p in range(1, window // 4 + 1):
+        # the highest i <= window - p with bit i unlike bit i + p, plus one
+        t = ((mask ^ mask >> p) & ((1 << (window + 1 - p)) - 1)).bit_length()
+        if t <= window // 2:
+            return t, p
+    return None
+
+
+def _closed(system: Bvass1, profile: Profile) -> bool:
+    """Does ``profile`` hold 0 at its final states and close under the rules
+    of its states?  Tested with masks on the window [0, W], which
+    ``Profile`` shows is enough; every state a rule of a masked state
+    reaches must be masked."""
+    t, p, masks = profile.threshold, profile.period, profile.masks
+    width = profile.window + 1
+    full = (1 << width) - 1
+    ext = {q: _periodic(m, t, p, width) for q, m in masks.items()}
+    if any(not ext[f] & 1 for f in system.finals if f in ext):
+        return False
+    for src, z, target in system.unary:
+        if src in ext and _shift_parent(ext[target], z) & full & ~ext[src]:
+            return False
+    for src, left, right in system.branching:
+        if src in ext and _sumset(ext[left], ext[right]) & full & ~ext[src]:
+            return False
+    return True
+
+
+def reach_profile(system: Bvass1, cone: set[int], budget: Budget) -> Profile | None:
+    """The first closed profile of the cone's reach sets over ``PROFILE_WINDOWS``, or None.
+
+    At window N an unjustified kernel runs under the cap 2N + 4|cone|, the
+    budget charged |Q| x its width first.  Each cone state's mask on
+    [0, N] gives a periodic tail (``_tail``); the profile takes the largest
+    threshold T and the lcm P of the periods, and extends each mask with
+    its own tail.  A window is given up when a mask shows no tail, when
+    P > N, or when the profile does not close.  Built over the cone alone,
+    the profile does not depend on the rest of the system.
+    """
+    for window in PROFILE_WINDOWS:
+        cap = 2 * window + 4 * len(cone)
+        budget.charge(system.num_states * (cap + 1))
+        kernel = BoundedReach(system, cap)
+        kernel.run()
+        tails = {q: _tail(kernel.masks[q], window) for q in cone}
+        if None in tails.values():
+            continue
+        threshold = max(t for t, _ in tails.values())
+        period = lcm(*(p for _, p in tails.values()))
+        if period > window:
+            continue
+        masks = {q: _periodic(kernel.masks[q], t, p, threshold + period) for q, (t, p) in tails.items()}
+        profile = Profile(threshold, period, masks)
+        if _closed(system, profile):
+            return profile
+    return None
+
+
 def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables:
     """Decide one configuration q(n), kernel first; pump contexts come last.
 
-    Three steps on one ``FixpointTables`` and one fixpoint:
+    Four steps on one ``FixpointTables`` and one fixpoint:
 
     1. the reach kernel under B saturates with no pump context; if the
        query bit is set, that is the answer, and its certificate has no
        pumps;
     2. otherwise the answer is NO when no state of q's cone lies on a
        cycle (no context could add a bit), or when n is above q's largest
-       coverable value in the profile at B + 1, the one the contexts read;
-    3. only then are the cone's contexts activated and the fixpoint
+       coverable value at B + 1, the values the contexts read;
+    3. otherwise the answer is NO when a closed reach profile of the cone
+       (``reach_profile``) lacks n at q; the tables keep it as
+       ``profile``;
+    4. only then are the cone's contexts activated and the fixpoint
        resumed.
 
     ``reason`` on the tables names the step.  The tables promise ``holds``
@@ -443,11 +538,15 @@ def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables
     tables = FixpointTables(system, query.bound, n, budget)
     if tables.holds(state, n):
         return tables
-    cyclic = _cyclic_states(system, _closure(system.state_graph[0], state))
+    cone = _closure(system.state_graph[0], state)
+    cyclic = _cyclic_states(system, cone)
     if not cyclic:
         tables.reason = NO_CYCLE
-    elif n > tables.profile()[state]:
-        tables.reason = f"{ABOVE_COVERABLE} {tables.max_cover[state]}"
+    elif n > tables.max_coverable()[state]:
+        tables.reason = f"{ABOVE_COVERABLE} {tables.max_coverable_values[state]}"
+    elif (profile := reach_profile(system, cone, tables.budget)) and not profile.holds(state, n):
+        tables.reason = f"{PROFILE} {profile.threshold} {profile.period}"
+        tables.profile = profile
     else:
         tables.pump(cyclic)
     return tables

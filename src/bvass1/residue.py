@@ -389,7 +389,7 @@ def residue_reachable(query: ResidueQuery, budget: Budget | None = None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# window cache and the max-coverable profile
+# window cache and the largest coverable values
 
 
 class ResidueCache:
@@ -427,8 +427,8 @@ class ResidueCache:
         """Per state, the largest n <= clamp with some q(m), m >= n, reachable.
 
         -1 marks an empty reach set.  One modulus-1 table at window base
-        clamp gives the whole profile: clamp for a state it answers at
-        clamp, the highest S bit for any other.  That bit is exact.  Such
+        clamp gives them all: clamp for a state it answers at clamp, the
+        highest S bit for any other.  That bit is exact.  Such
         a state q reaches no value >= clamp, so its reach set is empty or
         has a largest value m < clamp.  Take a derivation of q(m) with
         s(a) above s(b) on one path.  If b > a, grafting s(b)'s subtree at

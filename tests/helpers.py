@@ -5,7 +5,7 @@ import random
 from typing import Optional
 
 from bvass1.cover_bound import GainEdge, GainGraph, _bfs_paths, build_gain_graph, coverable
-from bvass1.gen import gen_random
+from bvass1.gen import gen_doubling, gen_random
 from bvass1.model import (
     RESERVED_WORDS,
     Z_VALUES,
@@ -19,6 +19,7 @@ from bvass1.model import (
     SemanticError,
     UnaryTransition,
     Witness,
+    format_bvass,
     is_accepting,
     parse_bvass,
 )
@@ -52,6 +53,32 @@ unary s +1 s
 unary s -1 s
 unary s 0 f
 branch s s s
+"""
+
+
+# q reaches the even values, p the odd ones: the reach profile with
+# threshold 0 and period 2 refutes q at every odd n
+PARITY_TEXT = """\
+state q
+state p
+final q
+unary q -1 p
+unary p -1 q
+"""
+
+# The cascade level q_7 of the doubling hub reaches exactly 128, so x
+# reaches 129 and a the even values and every odd one from 129 on.  The
+# cascade's thresholds lie beyond every profile window, so no profile of
+# a's cone closes, and a(5), a NO, is left to the pump fixpoint.
+BEYOND_WINDOWS_TEXT = format_bvass(gen_doubling(7)) + """\
+state a
+state b
+state x
+unary a 0 q_f
+unary a -1 b
+unary b -1 a
+unary x -1 q_7
+branch a a x
 """
 
 

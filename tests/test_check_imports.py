@@ -2,12 +2,12 @@
 
 The checkers in ``bvass1.check`` re-verify what the engine hands out, so
 they may read artifacts through ``bvass1.model`` only.  The one engine
-name they still import is ``residue.ResidueCache``: both checkers decide
-their residue and coverability questions through it.  A test that imports
-``bvass1.check`` in a fresh interpreter and lists ``sys.modules`` would
-show nothing, since importing ``bvass1.check`` runs ``bvass1/__init__``,
-which loads every engine module.  The system's rules are resolved,
-written and checked in ``bvass1.model`` alone.
+name they still import is ``residue.ResidueCache``: the certificate and
+witness checkers decide their residue and coverability questions through
+it.  A test that imports ``bvass1.check`` in a fresh interpreter and lists
+``sys.modules`` would show nothing, since importing ``bvass1.check`` runs
+``bvass1/__init__``, which loads every engine module.  The system's rules
+are resolved, written and checked in ``bvass1.model`` alone.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def _defining_modules(names: set[str]) -> dict[str, list[str]]:
 
 
 def test_checkers_are_defined_in_check_alone():
-    checkers = {"check_certificate_report", "_shared_parts_report", "check_unbounded_witness"}
+    checkers = {"check_certificate_report", "_shared_parts_report", "check_unbounded_witness", "check_profile_report"}
     assert _defining_modules(checkers) == {name: ["check"] for name in checkers}
 
 

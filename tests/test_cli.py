@@ -17,7 +17,7 @@ from bvass1.model import format_bvass, parse_bvass, tree_from_text
 
 import pytest
 
-from helpers import B2_TEXT, LOOP_TEXT, PUMP_TEXT
+from helpers import B2_TEXT, BEYOND_WINDOWS_TEXT, LOOP_TEXT, PARITY_TEXT, PUMP_TEXT
 
 
 @pytest.fixture()
@@ -207,12 +207,22 @@ def test_json_reports_the_step_that_decided_reach(tmp_path, capsys, state, n, co
 
 
 def test_json_reason_of_a_pump_fixpoint_no(tmp_path, capsys):
-    # the parity pair: q reaches exactly the even values, so it covers 5 and
-    # the profile cannot refute q(5); the pump fixpoint says NO
-    path = tmp_path / "parity.bvass"
-    path.write_text("state q  state p\nfinal q\nunary q -1 p\nunary p -1 q\n")
-    assert main(["decide", "reach", "--system", str(path), "--state", "q", "--n", "5", "--json"]) == 1
+    # a covers 5, and the thresholds of its cone lie beyond every profile
+    # window, so the pump fixpoint says NO
+    path = tmp_path / "beyond.bvass"
+    path.write_text(BEYOND_WINDOWS_TEXT)
+    assert main(["decide", "reach", "--system", str(path), "--state", "a", "--n", "5", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["reason"] == "pump fixpoint"
+
+
+@pytest.mark.parametrize("n", [5, 3001])
+def test_json_reason_of_a_profile_no(tmp_path, capsys, n):
+    # the parity pair: q reaches exactly the even values, so it covers every
+    # n, and the reach profile with threshold 0 and period 2 refutes the odd
+    path = tmp_path / "parity.bvass"
+    path.write_text(PARITY_TEXT)
+    assert main(["decide", "reach", "--system", str(path), "--state", "q", "--n", str(n), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "profile 0 2"
 
 
 def test_budget_flag_refusal(tmp_path, capsys):

@@ -1,4 +1,7 @@
-"""The shared max-coverable profile against the per-state scan it replaced."""
+"""The shared largest coverable values against the per-state scan they replaced.
+
+Some test names say "profile" for these values; the word now names the
+reach profile of ``reach.reach_profile``, and the names are kept as they were."""
 from __future__ import annotations
 
 import random
@@ -42,12 +45,12 @@ def _all_systems() -> list[Bvass1]:
     return random_instances() + _family_systems() + _random_systems()
 
 
-def _profile(graph_values) -> list[int]:
+def _values(graph_values) -> list[int]:
     return [-1 if m is None else m for m in graph_values]
 
 
 # d3 reaches exactly 8 = |Q| + 1, so q, one +1 step below it, reaches 7 at
-# most: in the profile at clamp 8, d3 is the table's answer at the clamp and
+# most: in the values at clamp 8, d3 is the table's answer at the clamp and
 # q its highest S bit
 OVERSHOOT = """
 state f  state u  state d1  state d2  state d3  state q  state z
@@ -93,13 +96,13 @@ def test_profile_matches_naive_scan_around_each_largest_value():
     for system in [parse_bvass(OVERSHOOT)] + random_instances() + _family_systems():
         largest = _largest_values(system)
         for clamp in sorted({c for _, m in largest for c in (m - 1, m, m + 1) if c >= 0}):
-            profile = ResidueCache(system).max_coverable(clamp)
-            assert profile == naive_max_coverable(system, clamp), (system, clamp)
+            values = ResidueCache(system).max_coverable(clamp)
+            assert values == naive_max_coverable(system, clamp), (system, clamp)
             for q, m in largest:
                 if clamp in (m - 1, m):
-                    answered += profile[q] == clamp
+                    answered += values[q] == clamp
                 elif clamp == m + 1:
-                    read_off_s += profile[q] == m
+                    read_off_s += values[q] == m
     assert answered > 800 and read_off_s > 700, (answered, read_off_s)
 
 
@@ -116,16 +119,16 @@ def test_engine_probe_matches_coverable():
 def test_gain_graph_profile_matches_naive_scan():
     for system in _all_systems():
         expected = naive_max_coverable(system, system.num_states + 1)
-        assert _profile(build_gain_graph(system).max_coverable) == expected
+        assert _values(build_gain_graph(system).max_coverable) == expected
 
 
 def test_engine_profile_matches_naive_scan_at_bound_plus_one():
-    # only pump contexts read the profile, so tables without any leave it empty
+    # only pump contexts read the values, so tables without any leave them empty
     systems = random_instances()[::10] + _family_systems()[::2] + _random_systems()[::4]
     for i, system in enumerate(systems):
         tables = run_batch(system, i % 4)
         expected = naive_max_coverable(system, tables.bound + 1) if _cyclic_states(system, range(system.num_states)) else []
-        assert tables.max_cover == expected
+        assert tables.max_coverable_values == expected
 
 
 def test_every_emitted_witness_passes_the_checker():
@@ -154,12 +157,12 @@ def _metamorphic_cases():
 
 
 def _verdicts(system: Bvass1, states, clamp: int) -> list[tuple]:
-    """Per state: its profile value at clamp, whether it is unbounded, and
+    """Per state: its largest coverable value at clamp, whether it is unbounded, and
     its cover and residue verdicts at counters around the clamp."""
-    profile = ResidueCache(system).max_coverable(clamp)
+    values = ResidueCache(system).max_coverable(clamp)
     return [
         (
-            profile[q],
+            values[q],
             unbounded_report(system, q)[0],
             [coverable(system, q, n) for n in (0, 1, clamp - 1, clamp)],
             [residue_reachable(ResidueQuery(system, q, n0, d))[0] for n0, d in ((1, 2), (clamp, 3))],
@@ -215,9 +218,9 @@ def test_max_coverable_at_a_large_clamp_is_fast():
     # one shift-or per set bit of a full 10^5-bit window took about 40 s here
     system = gen_random(10, 30, 10, 2, 3)
     start = time.perf_counter()
-    profile = ResidueCache(system).max_coverable(10**5)
+    values = ResidueCache(system).max_coverable(10**5)
     assert time.perf_counter() - start < 1.0
-    assert profile == [10**5] * 10
+    assert values == [10**5] * 10
 
 
 def test_coverable_at_5000_is_fast():

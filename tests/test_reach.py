@@ -2,17 +2,20 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 from dataclasses import replace
 
 from bvass1 import residue
 from bvass1.gen import gen_binary_constant, gen_doubling, gen_random, gen_subset_sum
-from bvass1.check import check_certificate, check_certificate_report
+from bvass1.check import _profile_values, check_certificate, check_certificate_report, check_profile_report
 from bvass1.model import (
     Budget,
     BudgetExceeded,
     Certificate,
     Config,
     PartialTree,
+    Profile,
     PumpRecord,
     certificate_from_text,
     certificate_to_text,
@@ -28,16 +31,28 @@ from bvass1.reach import (
     PUMP_FIXPOINT,
     ExpandOverflow,
     ReachQuery,
+    _closed,
+    _closure,
     decide_reach,
     expand_certificate,
     extract_certificate,
+    reach_profile,
     run_batch,
     run_query,
 )
 
 import pytest
 
-from helpers import PUMP_TEXT, b2, loop_gadget, metamorphic_variants, random_instances, tree_of
+from helpers import (
+    BEYOND_WINDOWS_TEXT,
+    PARITY_TEXT,
+    PUMP_TEXT,
+    b2,
+    loop_gadget,
+    metamorphic_variants,
+    random_instances,
+    tree_of,
+)
 from test_max_coverable import _family_systems
 
 
@@ -413,6 +428,15 @@ def _differential_systems():
     return out + [(gen_doubling(k), 20) for k in range(7)]
 
 
+# the steps run_query decides at, as ``_reason_kind`` names them
+REASONS = {"kernel", "above largest coverable", "no cyclic state in cone", "profile", "pump fixpoint"}
+
+
+def _reason_kind(reason: str) -> str:
+    """The step a reason names, without its numbers."""
+    return " ".join(word for word in reason.split() if not word.lstrip("-").isdigit()).removesuffix(" value")
+
+
 def test_query_verdicts_equal_the_complete_fixpoint():
     # every state at every n, whichever step run_query decided at
     reasons = set()
@@ -422,8 +446,8 @@ def test_query_verdicts_equal_the_complete_fixpoint():
             for n in range(nmax + 1):
                 single = run_query(ReachQuery(system, state, n))
                 assert single.holds(state, n) == tables.holds(state, n), (system, state, n, single.reason)
-                reasons.add(single.reason.split(" value ")[0])
-    assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
+                reasons.add(_reason_kind(single.reason))
+    assert reasons == REASONS
 
 
 def test_run_query_is_invariant_under_renaming_reordering_and_union():
@@ -440,7 +464,7 @@ def test_run_query_is_invariant_under_renaming_reordering_and_union():
             for n in range(nmax + 1):
                 base = run_query(ReachQuery(system, state, n))
                 verdict = base.holds(state, n)
-                reasons.add(base.reason.split(" value ")[0])
+                reasons.add(_reason_kind(base.reason))
                 for kind, variant, where in variants:
                     query = ReachQuery(variant, where[state], n)
                     tables = run_query(query)
@@ -451,7 +475,7 @@ def test_run_query_is_invariant_under_renaming_reordering_and_union():
                         cert = extract_certificate(query, tables)
                         assert check_certificate_report(variant, cert, Config(query.state, n)) == (True, "ok")
                         certified += 1
-    assert reasons == {"kernel", "above largest coverable", "no cyclic state in cone", "pump fixpoint"}
+    assert reasons == REASONS
     assert certified > 3000, certified
 
 
@@ -546,13 +570,161 @@ def test_kernel_answers_and_refutations_build_no_context():
     assert (yes.reason, no.reason) == ("kernel", "above largest coverable value 16")
     assert yes.contexts == no.contexts == []
     assert not extract_certificate(ReachQuery(system, 0, 7), yes).pumps
-    # the kernel YES reads no profile; the refutation reads it and stops there
-    assert yes.max_cover == [] and no.max_cover[0] == 16
+    # the kernel YES reads no largest coverable values; the refutation reads
+    # them and stops there
+    assert yes.max_coverable_values == [] and no.max_coverable_values[0] == 16
+    assert yes.profile is None and no.profile is None
     acyclic = run_query(ReachQuery(system, system.state_id("q_4"), 15))  # no cycle below q_4
     assert not acyclic.holds(system.state_id("q_4"), 15)
-    assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == acyclic.max_cover == []
+    assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == acyclic.max_coverable_values == []
     pumped = run_query(ReachQuery(system, 0, 0))  # the climb to 16 does not fit under B = 14
     assert pumped.holds(0, 0) and pumped.reason == "pump fixpoint" and pumped.contexts
+
+
+# ---------------------------------------------------------------------------
+# reach profiles
+
+
+def _profile_nos():
+    """(system, state, n, tables) per query of ``_differential_systems`` that
+    a reach profile refutes, with the batch's verdict on it."""
+    for system, nmax in _differential_systems():
+        batch = run_batch(system, nmax)
+        for state in range(system.num_states):
+            for n in range(nmax + 1):
+                tables = run_query(ReachQuery(system, state, n))
+                if tables.profile is not None:
+                    yield system, state, n, tables, batch.holds(state, n)
+
+
+def test_profile_refutations_pass_the_checker_and_agree_with_the_batch():
+    refuted = 0
+    for system, state, n, tables, batch_verdict in _profile_nos():
+        profile = tables.profile
+        assert tables.reason == f"profile {profile.threshold} {profile.period}"
+        assert not tables.holds(state, n) and not batch_verdict, (system, state, n)
+        assert tables.contexts == []
+        assert check_profile_report(system, profile, state, n) == (True, "ok"), (system, state, n)
+        refuted += 1
+    assert refuted > 150, refuted
+
+
+def test_engine_closure_agrees_with_the_checker_on_tampered_profiles():
+    # every bit of every mask of every distinct profile, flipped one at a time
+    seen, clauses, kept = set(), Counter(), 0
+    for system, state, n, tables, _ in _profile_nos():
+        t, p, masks = tables.profile.threshold, tables.profile.period, tables.profile.masks
+        key = (id(system), t, p, tuple(sorted(masks.items())))
+        if key in seen:
+            continue
+        seen.add(key)
+        for q in masks:
+            for bit in range(t + p):
+                tampered = Profile(t, p, {**masks, q: masks[q] ^ (1 << bit)})
+                ok, why = check_profile_report(system, tampered, state, n)
+                closed = ok or why.startswith("the profile holds")
+                assert _closed(system, tampered) == closed, (system, tampered, why)
+                if closed:
+                    kept += 1
+                else:
+                    clauses[why.split()[0]] += 1
+    assert set(clauses) == {"final", "unary", "branch"}, clauses
+    assert kept > 0 and len(seen) > 20, (kept, len(seen))
+
+
+def test_profile_membership_reads_through_the_period():
+    # values {1, 2, 4} below T + P = 5, then bits [2, 5) again and again
+    profile = Profile(2, 3, {0: 0b10110})
+    assert [n for n in range(12) if profile.holds(0, n)] == [1, 2, 4, 5, 7, 8, 10, 11]
+    # the checker's own reading agrees on random profiles
+    rng = random.Random(5)
+    for _ in range(300):
+        t, p = rng.randrange(6), rng.randrange(1, 5)
+        profile = Profile(t, p, {0: rng.getrandbits(t + p)})
+        top = profile.window
+        assert _profile_values(profile, 0, top) == {n for n in range(top + 1) if profile.holds(0, n)}, profile
+
+
+# s sums two odd values of p, so it reaches the even values from 2 on
+BRANCH_PARITY_TEXT = PARITY_TEXT + "state s\nbranch s p p\n"
+
+
+@pytest.mark.parametrize(
+    "text, masks, threshold, state, n, reason",
+    [
+        (PARITY_TEXT, {"q": 0b01, "p": 0b10}, 0, "q", 5, "ok"),
+        (PARITY_TEXT, {"q": 0b01, "p": 0b10}, 0, "q", 4, "the profile holds q(4), so it refutes nothing"),
+        (PARITY_TEXT, {"q": 0b00, "p": 0b10}, 0, "q", 5, "final state q lacks the value 0"),
+        (PARITY_TEXT, {"q": 0b11, "p": 0b10}, 0, "q", 5, "unary p -1 q: p(2) over q(1) lies outside the profile"),
+        (BRANCH_PARITY_TEXT, {"q": 0b0101, "p": 0b1010, "s": 0b0100}, 2, "s", 3, "ok"),
+        (BRANCH_PARITY_TEXT, {"q": 0b0101, "p": 0b1010, "s": 0b0100}, 2, "s", 0, "ok"),
+        (
+            BRANCH_PARITY_TEXT,
+            {"q": 0b0101, "p": 0b1010, "s": 0b0000},
+            2,
+            "s",
+            3,
+            "branch s p p: s(2) over p(1) and p(1) lies outside the profile",
+        ),
+        (PARITY_TEXT, {"p": 0b10}, 0, "q", 5, "no mask for the queried state q"),
+        (PARITY_TEXT, {"q": 0b01}, 0, "q", 5, "state p has no mask, though unary q -1 p enters it"),
+        (PARITY_TEXT, {"q": 0b101, "p": 0b10}, 0, "q", 5, "mask of state q is not a set of values below T + P = 2"),
+        (PARITY_TEXT, {"q": 0b01, "p": 0b10}, -1, "q", 5, "threshold -1 or period 2 is not a natural number resp. a positive one"),
+    ],
+    ids=[
+        "parity", "claim", "final", "unary", "branch-system", "branch-system-at-0", "branch",
+        "no-queried-mask", "no-successor-mask", "wide-mask", "negative-threshold",
+    ],
+)
+def test_checker_names_the_failed_clause_of_a_profile(text, masks, threshold, state, n, reason):
+    system = parse_bvass(text)
+    profile = Profile(threshold, 2, {system.state_id(name): bits for name, bits in masks.items()})
+    assert check_profile_report(system, profile, system.state_id(state), n) == (reason == "ok", reason)
+    if reason.split()[0] in ("ok", "the", "final", "unary", "branch"):
+        assert _closed(system, profile) == (reason.split()[0] in ("ok", "the"))
+
+
+def test_budget_counts_the_profile_windows():
+    # the first window closes; its charge does not grow with n
+    system = parse_bvass(PARITY_TEXT)
+    nq = system.num_states
+    window = nq * (2 * 16 + 4 * nq + 1)
+    for n in (5, 1001, 3001):
+        tables = run_query(ReachQuery(system, 0, n))
+        assert tables.reason == "profile 0 2" and tables.contexts == []
+        bound = 2 * nq + n
+        kernel = nq * (bound + 1)
+        table = nq * (3 + bound + 1 + nq + 1)  # the modulus-1 table of the largest coverable values
+        assert tables.budget.used == kernel + table + window
+
+
+def test_a_small_budget_refuses_the_profile_step():
+    # at n = 3001 the pump fixpoint this step stands before took 72 s and
+    # 3.5 GB; the profile is refused before its kernel runs, or answers in
+    # well under a second
+    system = parse_bvass(PARITY_TEXT)
+    query = ReachQuery(system, 0, 3001)
+    start = time.perf_counter()
+    tables = run_query(query)
+    assert time.perf_counter() - start < 1.0
+    assert tables.reason == "profile 0 2"
+    used = tables.budget.used
+    with pytest.raises(BudgetExceeded):
+        run_query(query, Budget(used - 1))
+    assert run_query(query, Budget(used)).reason == "profile 0 2"
+
+
+def test_a_threshold_beyond_the_windows_leaves_the_no_to_the_pump_fixpoint():
+    system = parse_bvass(BEYOND_WINDOWS_TEXT)
+    a = system.state_id("a")
+    assert reach_profile(system, _closure(system.state_graph[0], a), Budget()) is None
+    tables = run_query(ReachQuery(system, a, 5))
+    assert not tables.holds(a, 5) and tables.reason == PUMP_FIXPOINT and tables.contexts
+    assert tables.profile is None
+    batch = run_batch(system, 5)
+    assert [batch.holds(a, n) for n in range(6)] == [True, False, True, False, True, False]
+    reach = bounded_reach_set(system, 300)
+    assert [n for n in range(120, 134) if reach.contains(a, n)] == [120, 122, 124, 126, 128, 129, 130, 131, 132, 133]
 
 
 # ---------------------------------------------------------------------------
