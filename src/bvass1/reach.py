@@ -46,8 +46,9 @@ pump-free certificate.  Otherwise the query is NO when no state of its
 cone lies on a cycle, or when n is above the state's largest coverable
 value, or when a reach profile of the cone refutes it: an ultimately
 periodic value set per state (``model.Profile``), read off an unjustified
-kernel at a few fixed windows and kept only when it holds the finals and
-is closed under the rules, so that it holds every reachable configuration.
+kernel over the cone's rules on one fixed window and kept only when it
+holds the finals and is closed under the rules, so that it holds every
+reachable configuration.
 Only then are the cone's contexts activated on the same kernel,
 and the fixpoint resumes, every path rule read off ``rule_index``.  So
 a single query's tables are complete for that query alone; the batch
@@ -62,7 +63,7 @@ same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 from typing import Iterable, Optional
 
@@ -89,9 +90,11 @@ NO_CYCLE = "no cyclic state in cone"
 ABOVE_COVERABLE = "above largest coverable value"  # followed by the value
 PROFILE = "profile"  # followed by the profile's threshold and period
 
-# The windows [0, N] a reach profile is read on, tried in turn.  They do not
-# grow with the query's counter, so neither does the profile's cost.
-PROFILE_WINDOWS = (16, 32, 64)
+# The window [0, N] a reach profile is read on.  It does not grow with the
+# query's counter, so neither does the profile's cost.  On the seed-1
+# benchmark populations and the differential test systems, every profile
+# that refutes a query at N = 32 or 64 refutes it at N = 16 as well.
+PROFILE_WINDOW = 16
 
 # Defensive ceiling on a replayed certificate's spine; extraction of a
 # decided query should stay far below this, so hitting it means an engine bug.
@@ -477,33 +480,41 @@ def _closed(system: Bvass1, profile: Profile) -> bool:
 
 
 def reach_profile(system: Bvass1, cone: set[int], budget: Budget) -> Profile | None:
-    """The first closed profile of the cone's reach sets over ``PROFILE_WINDOWS``, or None.
+    """The cone's reach sets as a closed profile, or None.
 
-    At window N an unjustified kernel runs under the cap 2N + 4|cone|, the
-    budget charged |Q| x its width first.  Each cone state's mask on
-    [0, N] gives a periodic tail (``_tail``); the profile takes the largest
-    threshold T and the lcm P of the periods, and extends each mask with
-    its own tail.  A window is given up when a mask shows no tail, when
-    P > N, or when the profile does not close.  Built over the cone alone,
-    the profile does not depend on the rest of the system.
+    An unjustified kernel runs under the cap 2N + 4|cone|, N =
+    ``PROFILE_WINDOW``, the budget charged |cone| x its width first.
+    When the cone is not the whole system, the kernel's system keeps the
+    cone's rules and finals alone: the cone is closed under successors,
+    so its states' sets are the same, and states outside it cost nothing.
+    Each cone state's mask on [0, N] gives a periodic tail (``_tail``);
+    the profile takes the largest threshold T and the lcm P of the
+    periods, and extends each mask with its own tail.  There is none when
+    a mask shows no tail, when P > N, or when the profile does not close.
+    Built over the cone alone, the profile does not depend on the rest of
+    the system.
     """
-    for window in PROFILE_WINDOWS:
-        cap = 2 * window + 4 * len(cone)
-        budget.charge(system.num_states * (cap + 1))
-        kernel = BoundedReach(system, cap)
-        kernel.run()
-        tails = {q: _tail(kernel.masks[q], window) for q in cone}
-        if None in tails.values():
-            continue
-        threshold = max(t for t, _ in tails.values())
-        period = lcm(*(p for _, p in tails.values()))
-        if period > window:
-            continue
-        masks = {q: _periodic(kernel.masks[q], t, p, threshold + period) for q, (t, p) in tails.items()}
-        profile = Profile(threshold, period, masks)
-        if _closed(system, profile):
-            return profile
-    return None
+    cap = 2 * PROFILE_WINDOW + 4 * len(cone)
+    budget.charge(len(cone) * (cap + 1))
+    if len(cone) < system.num_states:
+        system = replace(
+            system,
+            unary=tuple(t for t in system.unary if t.source in cone),
+            branching=tuple(t for t in system.branching if t.source in cone),
+            finals=system.finals & cone,
+        )
+    kernel = BoundedReach(system, cap)
+    kernel.run()
+    tails = {q: _tail(kernel.masks[q], PROFILE_WINDOW) for q in cone}
+    if None in tails.values():
+        return None
+    threshold = max(t for t, _ in tails.values())
+    period = lcm(*(p for _, p in tails.values()))
+    if period > PROFILE_WINDOW:
+        return None
+    masks = {q: _periodic(kernel.masks[q], t, p, threshold + period) for q, (t, p) in tails.items()}
+    profile = Profile(threshold, period, masks)
+    return profile if _closed(system, profile) else None
 
 
 def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables:

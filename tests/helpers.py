@@ -68,9 +68,9 @@ unary p -1 q
 
 # The cascade level q_7 of the doubling hub reaches exactly 128, so x
 # reaches 129 and a the even values and every odd one from 129 on.  The
-# cascade's thresholds lie beyond every profile window, so no profile of
+# cascade's thresholds lie beyond the profile window, so no profile of
 # a's cone closes, and a(5), a NO, is left to the pump fixpoint.
-BEYOND_WINDOWS_TEXT = format_bvass(gen_doubling(7)) + """\
+BEYOND_WINDOW_TEXT = format_bvass(gen_doubling(7)) + """\
 state a
 state b
 state x

@@ -17,7 +17,7 @@ from bvass1.model import format_bvass, parse_bvass, tree_from_text
 
 import pytest
 
-from helpers import B2_TEXT, BEYOND_WINDOWS_TEXT, LOOP_TEXT, PARITY_TEXT, PUMP_TEXT
+from helpers import B2_TEXT, BEYOND_WINDOW_TEXT, LOOP_TEXT, PARITY_TEXT, PUMP_TEXT
 
 
 @pytest.fixture()
@@ -207,10 +207,10 @@ def test_json_reports_the_step_that_decided_reach(tmp_path, capsys, state, n, co
 
 
 def test_json_reason_of_a_pump_fixpoint_no(tmp_path, capsys):
-    # a covers 5, and the thresholds of its cone lie beyond every profile
+    # a covers 5, and the thresholds of its cone lie beyond the profile
     # window, so the pump fixpoint says NO
     path = tmp_path / "beyond.bvass"
-    path.write_text(BEYOND_WINDOWS_TEXT)
+    path.write_text(BEYOND_WINDOW_TEXT)
     assert main(["decide", "reach", "--system", str(path), "--state", "a", "--n", "5", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["reason"] == "pump fixpoint"
 

@@ -44,10 +44,11 @@ from bvass1.reach import (
 import pytest
 
 from helpers import (
-    BEYOND_WINDOWS_TEXT,
+    BEYOND_WINDOW_TEXT,
     PARITY_TEXT,
     PUMP_TEXT,
     b2,
+    disjoint_union,
     loop_gadget,
     metamorphic_variants,
     random_instances,
@@ -684,10 +685,10 @@ def test_checker_names_the_failed_clause_of_a_profile(text, masks, threshold, st
         assert _closed(system, profile) == (reason.split()[0] in ("ok", "the"))
 
 
-def test_budget_counts_the_profile_windows():
-    # the first window closes; its charge does not grow with n
+def test_budget_counts_the_profile_window():
+    # the window's charge, |cone| x (cap + 1), does not grow with n
     system = parse_bvass(PARITY_TEXT)
-    nq = system.num_states
+    nq = system.num_states  # the cone of q is both states
     window = nq * (2 * 16 + 4 * nq + 1)
     for n in (5, 1001, 3001):
         tables = run_query(ReachQuery(system, 0, n))
@@ -696,6 +697,21 @@ def test_budget_counts_the_profile_windows():
         kernel = nq * (bound + 1)
         table = nq * (3 + bound + 1 + nq + 1)  # the modulus-1 table of the largest coverable values
         assert tables.budget.used == kernel + table + window
+
+
+def test_a_profile_inside_a_larger_system_is_built_and_charged_over_its_cone():
+    # beside a doubling-10 hub, the parity pair's profile is the one it has
+    # alone, and the hub's states add nothing to its charge
+    alone = parse_bvass(PARITY_TEXT)
+    union = disjoint_union(alone, gen_doubling(10))
+    cone = {0, 1}
+    charged = len(cone) * (2 * 16 + 4 * len(cone) + 1)
+    profiles = []
+    for system in (alone, union):
+        budget = Budget()
+        profiles.append(reach_profile(system, cone, budget))
+        assert budget.used == charged
+    assert profiles[0] == profiles[1] == Profile(0, 2, {0: 0b01, 1: 0b10})
 
 
 def test_a_small_budget_refuses_the_profile_step():
@@ -714,8 +730,8 @@ def test_a_small_budget_refuses_the_profile_step():
     assert run_query(query, Budget(used)).reason == "profile 0 2"
 
 
-def test_a_threshold_beyond_the_windows_leaves_the_no_to_the_pump_fixpoint():
-    system = parse_bvass(BEYOND_WINDOWS_TEXT)
+def test_a_threshold_beyond_the_window_leaves_the_no_to_the_pump_fixpoint():
+    system = parse_bvass(BEYOND_WINDOW_TEXT)
     a = system.state_id("a")
     assert reach_profile(system, _closure(system.state_graph[0], a), Budget()) is None
     tables = run_query(ReachQuery(system, a, 5))
