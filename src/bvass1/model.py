@@ -85,16 +85,22 @@ class BranchTransition(NamedTuple):
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Config:
     """A control state paired with a natural counter value."""
 
     state: int
     counter: int
 
-    def __post_init__(self):
-        if self.counter < 0:
-            raise ValueError(f"counter must be a natural number, got {self.counter}")
+    def __init__(self, state: int, counter: int):
+        # written into the instance dict: a frozen dataclass's generated
+        # __init__ sets each field through object.__setattr__, which costs
+        # more than the rest of the construction
+        if counter < 0:
+            raise ValueError(f"counter must be a natural number, got {counter}")
+        fields = self.__dict__
+        fields["state"] = state
+        fields["counter"] = counter
 
 
 @dataclass(frozen=True)

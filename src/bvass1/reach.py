@@ -40,26 +40,29 @@ on the reach table and the tests read as a table of its own.
 
 The reach masks are a ``residue.BoundedReach`` kernel under B: it
 applies the system's own rules (and saturates self-loops), and the pump
-rules add to it.  A query is decided kernel first.  The kernel saturates
-before any pump context exists, and a query bit it sets is a YES with a
-pump-free certificate.  Otherwise the query is NO when no state of its
-cone lies on a cycle, or when n is above the state's largest coverable
-value, or when a reach profile of the cone refutes it: an ultimately
-periodic value set per state (``model.Profile``), read off an unjustified
-kernel over the cone's rules on one fixed window and kept only when it
-holds the finals and is closed under the rules, so that it holds every
-reachable configuration.
-Only then are the cone's contexts activated on the same kernel,
-and the fixpoint resumes, every path rule read off ``rule_index``.  So
-a single query's tables are complete for that query alone; the batch
-pumps every cyclic state once its kernel has saturated, and is complete
-for all.  The kernel and every path block keep one event log
+rules add to it.  A query is decided kernel first.  The kernel runs
+before any pump context exists, until the query is answered or it
+saturates, and a query bit it sets is a YES with a pump-free
+certificate.  Otherwise the kernel has saturated, and the query is NO
+when no state of its cone lies on a cycle, or when n is above the
+state's largest coverable value, or when a reach profile of the cone
+refutes it: an ultimately periodic value set per state
+(``model.Profile``), read off an unjustified kernel over the cone's
+rules on one fixed window and kept only when it holds the finals and is
+closed under the rules, so that it holds every reachable configuration.
+Only then are the cone's contexts activated on the same kernel, and the
+fixpoint resumes, every path rule read off ``rule_index``.  So a single
+query's tables are complete for that query alone; the batch pumps every
+cyclic state once its kernel has saturated, and is complete for all.
+The kernel and every path block keep one event log
 (``residue.EventLog``): per state, one (tick, rule, bits) entry per add
 event, and a row view reads its row's part of its block's entries.  All
 ticks come from the kernel's clock, so a rule's premises always carry
 smaller ticks than its conclusion, and a positive answer replays into a
 concrete certificate deterministically, reading either kind of table the
-same way.
+same way.  A replay reads only entries with ticks below the root's, so
+a kernel stopped at its query's bit gives the certificate a saturated
+one would.
 """
 from __future__ import annotations
 
@@ -255,8 +258,10 @@ class FixpointTables:
     """Least fixpoint of the reach and path tables for one bound.
 
     Build it through run_query or run_batch.  The reach tables are a
-    justified ``BoundedReach`` kernel under the bound, and it saturates
-    first, before any pump context exists.  ``pump`` then activates the
+    justified ``BoundedReach`` kernel under the bound, and it runs first,
+    before any pump context exists: run_query runs it until the query is
+    answered or it saturates, run_batch until it saturates.  The
+    constructor runs nothing.  ``pump`` then activates the
     contexts of some states on the same kernel and resumes the fixpoint:
     the pump rules add to the kernel, its queue and clock carry the path
     events too, and the residue cache, budget and reach window are the
@@ -298,7 +303,6 @@ class FixpointTables:
         self.reach = BoundedReach(system, bound, justify=True)
         self.reach_masks = self.reach.masks
         self.reason = KERNEL
-        self._run()
 
     def max_coverable(self) -> list[int]:
         """Per state, the largest coverable value up to bound + 1 (-1: none)."""
@@ -310,7 +314,9 @@ class FixpointTables:
         """Activate the pump contexts of ``states``, the cyclic states
         (``_cyclic_states``), and resume the fixpoint.  Each state gets one
         block per run of leaf counters, each charged its whole window, |Q|
-        x its width, when it is built."""
+        x its width, when it is built.  The kernel must have saturated: one
+        stopped early has answered its query, and has nothing to pump."""
+        assert not self.reach.queue, "pump needs a saturated kernel"
         self.reason = PUMP_FIXPOINT
         nq = self.system.num_states
         top_of = self.max_coverable()
@@ -522,9 +528,9 @@ def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables
 
     Four steps on one ``FixpointTables`` and one fixpoint:
 
-    1. the reach kernel under B saturates with no pump context; if the
-       query bit is set, that is the answer, and its certificate has no
-       pumps;
+    1. the reach kernel under B runs with no pump context until the
+       query is answered or it saturates; if the query bit is set, that
+       is the answer, and its certificate has no pumps;
     2. otherwise the answer is NO when no state of q's cone lies on a
        cycle (no context could add a bit), or when n is above q's largest
        coverable value at B + 1, the values the contexts read;
@@ -547,6 +553,7 @@ def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables
     system = query.system
     state, n = query.state, query.n
     tables = FixpointTables(system, query.bound, n, budget)
+    tables.reach.run(state, n, 1)
     if tables.holds(state, n):
         return tables
     cone = _closure(system.state_graph[0], state)
@@ -568,13 +575,14 @@ def run_batch(system: Bvass1, nmax: int, budget: Budget | None = None) -> Fixpoi
 
     Uses the bound for the largest counter; a tree certifying q(n) under
     its own bound is also valid under a larger one, so the per-query and
-    batched answers agree.  The kernel saturates first, as in run_query,
-    and then every cyclic state is pumped at once, so ``holds`` is
-    complete for every state.
+    batched answers agree.  The kernel runs first, as in run_query, but
+    has no query to answer, so it saturates; then every cyclic state is
+    pumped at once, so ``holds`` is complete for every state.
     """
     if nmax < 0:
         raise ValueError("nmax must be a natural number")
     tables = FixpointTables(system, reach_bound(system, nmax), nmax, budget)
+    tables.reach.run()
     cyclic = _cyclic_states(system, range(system.num_states))
     if cyclic:
         tables.pump(cyclic)

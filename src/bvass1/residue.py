@@ -12,7 +12,10 @@ for everything above:
 Some n >= n0 with n ≡ n0 (mod d) is reachable at q exactly when S holds
 one within [n0, cap] or R holds (q, n0 mod d), so the query is one test
 of each.  S is read first, and a query that S answers never builds R0
-or R (a table builds them on first read).
+or R (a table builds them on first read).  ``residue_reachable`` stops
+S as soon as it answers the query, so its table promises that query's
+answer alone; ``compute_table`` and ``ResidueCache`` saturate S, and
+their tables answer every state.
 
 Value sets are packed into Python integers, one bit per counter value
 (or per residue class); the fixpoints are semi-naive worklists over
@@ -66,6 +69,11 @@ class ResidueTable:
     the residue masks have bit r set for residue class r modulo d.  Only
     S is built with the table: R0, R and the round count of R's fixpoint
     are built on first read, which a query that S answers never makes.
+
+    A table from ``compute_table`` answers every state.  One that
+    ``residue_reachable`` returns after a YES by S holds the bits S had
+    when it answered, a subset of the full sets: its ``holds`` is exact,
+    and any other reading may miss a witness.
     """
 
     query: ResidueQuery
@@ -199,8 +207,11 @@ class BoundedReach(EventLog):
 
     The one bounded-reach fixpoint: S of the residue tables, the reach
     masks of the reach engine under its bound B, and expansion's witness
-    tables.  ``run`` closes the masks under the system's rules (finals at
-    0, unary steps, branch sums) with a semi-naive worklist; callers that
+    tables.  ``run`` applies the system's rules (finals at 0, unary steps,
+    branch sums) with a semi-naive worklist, and runs until the caller's
+    query is answered or the masks saturate.  A run that stops early has
+    taken the first steps of a saturating run, and a later ``run()``
+    takes the rest, ending on the same masks, log and ticks.  Callers that
     interleave rules of their own (the reach engine's pump rules) call
     ``add`` and ``step`` and drive ``queue`` themselves.  A state's own
     +1/-1 self-loops are saturated in closed form (they fill the mask
@@ -292,9 +303,16 @@ class BoundedReach(EventLog):
                     add(src, bits, rule)
         return delta
 
-    def run(self) -> None:
-        queue, step = self.queue, self.step
-        while queue:
+    def run(self, state: int = 0, base: int = 0, rel: int = 0) -> None:
+        """Step the worklist until it is empty, or until the goal is met:
+        ``state`` holds base + r for some bit r of ``rel``.  The default
+        ``rel`` = 0 sets no goal, so the masks saturate.  A bit once set
+        stays set, so a met goal stays met.  The goal is tested before
+        each step, the first included, as the finals may meet it.  A test
+        shifts one mask right by ``base``, which keeps only its bits in
+        [base, cap], so its cost does not grow with ``base``."""
+        queue, step, masks = self.queue, self.step, self.masks
+        while queue and not (rel and masks[state] >> base & rel):
             step(queue.popleft())
 
 
@@ -368,23 +386,39 @@ def _r_fixpoint(
     return r, iterations
 
 
-def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueTable:
-    """Build S for one query; R0 and R follow on first read.
-
-    The budget (a fresh ``Budget()`` for None) is charged up front,
-    |Q|·(3d + cap + 1) entries, a bound on the sets the table may build:
-    S, R0 and R take cap + 1 + 2d.
-    """
+def _s_table(query: ResidueQuery, budget: Budget | None, rel: int) -> ResidueTable:
+    """The table whose S is the kernel run to the goal (query.start_state,
+    query.n0, ``rel``), ``rel`` = 0 for a saturated S."""
     system = query.system
     d, cap = query.d, query.cap
     (Budget() if budget is None else budget).charge(system.num_states * (3 * d + cap + 1))
     bounded = BoundedReach(system, cap)
-    bounded.run()
+    bounded.run(query.start_state, query.n0, rel)
     return ResidueTable(query=query, big_n=query.big_n, cap=cap, s_masks=tuple(bounded.masks))
 
 
+def compute_table(query: ResidueQuery, budget: Budget | None = None) -> ResidueTable:
+    """Build S for one query, saturated; R0 and R follow on first read.
+
+    The table answers every state.  The budget (a fresh ``Budget()`` for
+    None) is charged up front, |Q|·(3d + cap + 1) entries, a bound on the
+    sets the table may build: S, R0 and R take cap + 1 + 2d.
+    """
+    return _s_table(query, budget, 0)
+
+
 def residue_reachable(query: ResidueQuery, budget: Budget | None = None) -> tuple[bool, ResidueTable]:
-    table = compute_table(query, budget)
+    """Decide the query, and return its table, charged as ``compute_table``.
+
+    S runs only until the start state holds some n0 + kd in [n0, cap], or
+    until it saturates, and only a saturated S goes on to R0 and R.  So
+    the table promises ``holds`` alone: after a YES by S, its other
+    readings may miss a witness that the unfinished S lacks.
+    """
+    d = query.d
+    # bits 0, d, ..., |Q|·d: the witnesses n0 + kd <= cap, relative to n0
+    rel = ((1 << (query.big_n + d)) - 1) // ((1 << d) - 1)
+    table = _s_table(query, budget, rel)
     return table.holds, table
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvass1.gen import gen_binary_constant, gen_doubling
+from bvass1.gen import gen_binary_constant, gen_doubling, gen_random
 from bvass1.check import check_certificate_report
 from bvass1.model import Bvass1, Certificate, Config, PartialTree, is_reachability_tree, parse_bvass
 from bvass1.oracle import bounded_reach_set
@@ -97,6 +97,68 @@ def test_live_rule_steps_keep_masks_logs_and_ticks():
             assert (live.masks, live.log, live.tick) == (every.masks, every.log, every.tick), (system, cap)
 
 
+def _goals(kernel: BoundedReach) -> list[tuple[int, int, int, bool]]:
+    """Goals (state, base, rel, met) for a saturated justified kernel: the
+    top bits its first, middle and last add events set, a residue-style
+    goal on every other bit from four below each, and goals it never
+    meets, each state's lowest missing bit and a bit past the cap."""
+    events = sorted((tick, q, bits) for q, entries in enumerate(kernel.log) for tick, _, bits in entries)
+    goals = []
+    for _, q, bits in (events[0], events[len(events) // 2], events[-1]) if events else ():
+        m = bits.bit_length() - 1
+        goals += [(q, m, 1, True), (q, max(0, m - 4), 0b10101, bool(kernel.masks[q] >> max(0, m - 4) & 0b10101))]
+    for q, mask in enumerate(kernel.masks):
+        missing = ~mask & kernel.full
+        if missing:
+            goals.append((q, (missing & -missing).bit_length() - 1, 1, False))
+    goals.append((0, kernel.cap + 1, 1, False))  # past the cap
+    return goals
+
+
+def _stop_and_drain(system: Bvass1, cap: int) -> tuple[int, int]:
+    """Each goal of ``_goals``: a run stopped at it, then drained, ends as the
+    saturating run; returns (runs that stopped with work left, goals)."""
+    full = _kernel(system, cap, True)
+    stopped = 0
+    goals = _goals(full)
+    for state, base, rel, met in goals:
+        for justify in (True, False):
+            kernel = BoundedReach(system, cap, justify=justify)
+            kernel.run(state, base, rel)
+            assert bool(kernel.masks[state] >> base & rel) == met, (state, base, rel)
+            assert all(m & ~f == 0 for m, f in zip(kernel.masks, full.masks))
+            if justify:
+                # the stopped run's log is the start of the saturating run's
+                assert all(part == whole[: len(part)] for part, whole in zip(kernel.log, full.log))
+                assert kernel.tick <= full.tick
+            stopped += bool(kernel.queue)
+            assert met or not kernel.queue  # only a met goal stops the run
+            kernel.run()
+            assert kernel.masks == full.masks and not kernel.queue, (state, base, rel)
+            if justify:
+                assert (kernel.log, kernel.tick) == (full.log, full.tick), (state, base, rel)
+    return stopped, len(goals)
+
+
+def test_stopped_then_drained_run_equals_the_saturating_run():
+    stopped = goals = 0
+    for system in _family_systems():
+        for cap in (0, 4, 13):
+            s, g = _stop_and_drain(system, cap)
+            stopped, goals = stopped + s, goals + g
+    assert stopped > 1000 and goals > 1500, (stopped, goals)
+
+
+def test_goal_met_by_the_finals_stops_before_the_first_step():
+    system = parse_bvass("state q  state f\nfinal f\nunary q 0 f\n")
+    f = system.state_id("f")
+    kernel = BoundedReach(system, 5, justify=True)
+    kernel.run(f, 0, 1)
+    assert list(kernel.queue) == [f] and kernel.masks == [0, 1] and kernel.tick == 1
+    kernel.run()
+    assert kernel.masks == [1, 1] and not kernel.queue
+
+
 def test_both_loops_fill_every_value():
     system = _both_loops()
     a, b = system.state_id("a"), system.state_id("b")
@@ -165,6 +227,25 @@ def _loop_systems(draw) -> Bvass1:
     branch = draw(st.lists(st.tuples(state, state, state), max_size=3))
     lines += [f"branch {p} {left} {right}" for p, left, right in branch]
     return parse_bvass("\n".join(lines))
+
+
+@given(
+    system=st.one_of(
+        _loop_systems(),
+        st.builds(
+            gen_random,
+            st.integers(1, 6),
+            st.integers(0, 9),
+            st.integers(0, 4),
+            st.integers(1, 2),
+            st.integers(0, 10**9),
+        ),
+    ),
+    cap=st.integers(0, 20),
+)
+@settings(max_examples=80, deadline=None)
+def test_stopped_then_drained_run_equals_the_saturating_run_on_drawn_systems(system, cap):
+    _stop_and_drain(system, cap)
 
 
 @given(system=_loop_systems(), cap=st.integers(1, 24))

@@ -1,6 +1,7 @@
 """System and tree model: formats, validators, node classification."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -31,6 +32,32 @@ from bvass1.model import (
 import pytest
 
 from helpers import B2_TEXT, b2, is_ancestor, lca, loop_gadget, naive_parse_bvass, random_valid_tree, tree_of
+
+
+# ---------------------------------------------------------------------------
+# configurations
+
+
+def test_config_is_a_frozen_checked_value():
+    cfg = Config(2, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.counter = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.state = 0
+    with pytest.raises(ValueError, match="counter must be a natural number, got -1"):
+        Config(0, -1)
+    assert cfg == Config(state=2, counter=5) == Config(2, counter=5)
+    assert cfg != Config(2, 6) and cfg != Config(3, 5) and cfg != (2, 5)
+    assert hash(cfg) == hash(Config(2, 5)) and len({cfg, Config(2, 5), Config(5, 2)}) == 2
+    assert repr(cfg) == "Config(state=2, counter=5)"
+    assert (cfg.state, cfg.counter) == (2, 5) and vars(cfg) == {"state": 2, "counter": 5}
+    assert [f.name for f in dataclasses.fields(Config)] == ["state", "counter"]
+    assert dataclasses.replace(cfg, counter=0) == Config(2, 0)
+    assert dataclasses.astuple(cfg) == (2, 5)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, counter=-3)
+    with pytest.raises(TypeError):
+        Config(1)
 
 
 # ---------------------------------------------------------------------------

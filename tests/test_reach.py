@@ -33,6 +33,7 @@ from bvass1.reach import (
     ReachQuery,
     _closed,
     _closure,
+    _cyclic_states,
     decide_reach,
     expand_certificate,
     extract_certificate,
@@ -580,6 +581,40 @@ def test_kernel_answers_and_refutations_build_no_context():
     assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == acyclic.max_coverable_values == []
     pumped = run_query(ReachQuery(system, 0, 0))  # the climb to 16 does not fit under B = 14
     assert pumped.holds(0, 0) and pumped.reason == "pump fixpoint" and pumped.contexts
+
+
+def test_kernel_stopped_at_the_query_bit_gives_the_saturated_certificate():
+    # run_query stops its kernel once the query bit is set; a replay reads
+    # only log entries older than that bit, so draining the kernel afterwards
+    # changes no certificate
+    stopped = certified = 0
+    for system, nmax in _differential_systems():
+        for state in range(system.num_states):
+            for n in range(nmax + 1):
+                query = ReachQuery(system, state, n)
+                tables = run_query(query)
+                if not tables.holds(state, n):
+                    continue
+                cert = extract_certificate(query, tables)
+                stopped += bool(tables.reach.queue)
+                assert not tables.reach.queue or tables.reason == KERNEL
+                tables.reach.run()
+                assert extract_certificate(query, tables) == cert, (system, state, n)
+                certified += 1
+    assert stopped > 5000 and certified > 5500, (stopped, certified)
+
+
+def test_pump_needs_a_saturated_kernel():
+    system = gen_doubling(4)
+    f = system.state_id("q_f")
+    tables = run_query(ReachQuery(system, f, 0))  # the final state answers before any step
+    assert tables.holds(f, 0) and tables.reason == KERNEL and tables.reach.queue
+    cyclic = _cyclic_states(system, range(system.num_states))
+    with pytest.raises(AssertionError, match="saturated kernel"):
+        tables.pump(cyclic)
+    tables.reach.run()
+    tables.pump(cyclic)
+    assert tables.contexts and tables.reason == PUMP_FIXPOINT
 
 
 # ---------------------------------------------------------------------------

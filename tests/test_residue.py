@@ -17,9 +17,11 @@ from bvass1.gen import (
 from bvass1.model import Budget, BudgetExceeded, parse_bvass
 from bvass1.oracle import bounded_reach_set, oracle_residue
 from bvass1.reach import _witness_value_scan
-from bvass1.residue import ResidueCache, ResidueQuery, compute_table, residue_reachable
+from bvass1.residue import BoundedReach, ResidueCache, ResidueQuery, compute_table, residue_reachable
 
 import pytest
+
+from test_max_coverable import _family_systems as _max_coverable_families
 
 from helpers import (
     b2,
@@ -318,3 +320,78 @@ def test_s_answered_query_leaves_r_unbuilt():
     no = compute_table(_q(system, "q_2", 5, 1))  # q_2 reaches only 4
     assert not no.holds
     assert {"r0_masks", "_closure"} <= set(vars(no))
+
+
+# ---------------------------------------------------------------------------
+# residue_reachable stops S once it answers
+
+
+def _agrees_with_the_saturated_table(query: ResidueQuery) -> bool:
+    """residue_reachable against compute_table on one query: the same
+    answer, and an S inside the saturated one that differs from it only
+    after a YES by S, with R0 and R unbuilt.  Returns whether S stopped
+    short of saturation."""
+    answer, table = residue_reachable(query)
+    full = compute_table(query)
+    assert answer == full.holds == table.holds, query
+    assert all(m & ~f == 0 for m, f in zip(table.s_masks, full.s_masks)), query
+    stopped = table.s_masks != full.s_masks
+    if stopped:
+        assert answer and not {"r0_masks", "_closure"} & set(vars(table)), query
+    return stopped
+
+
+def test_stopped_s_answers_as_the_saturated_table_on_every_family():
+    queries = stopped = 0
+    for system in _max_coverable_families() + [loop_gadget()]:
+        nq = system.num_states
+        for d in range(1, 6):
+            for n0 in range(2 * nq + 3):
+                for state in range(nq):
+                    stopped += _agrees_with_the_saturated_table(ResidueQuery(system, state, n0, d))
+                    queries += 1
+    assert queries > 50_000 and stopped > 1500, (queries, stopped)
+
+
+@given(
+    nq=st.integers(1, 6),
+    num_unary=st.integers(0, 9),
+    num_branching=st.integers(0, 4),
+    seed=st.integers(0, 10**9),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_stopped_s_answers_as_the_saturated_table_on_drawn_systems(nq, num_unary, num_branching, seed, data):
+    system = gen_random(nq, num_unary, num_branching, 1 + seed % 2, seed)
+    state = data.draw(st.integers(0, nq - 1))
+    d = data.draw(st.integers(1, 5))
+    n0 = data.draw(st.integers(0, 2 * nq + 2))
+    _agrees_with_the_saturated_table(ResidueQuery(system, state, n0, d))
+
+
+def test_goal_spans_the_window_from_n0_to_cap(monkeypatch):
+    # the entry reaches exactly m: with n0 = m - kd the one witness lies kd
+    # above n0, in S's window [n0, cap] up to k = |Q| (m at cap itself) and
+    # beyond it, for R to find, at k = |Q| + 1
+    goals = []
+    run = BoundedReach.run
+
+    def recorded(self, state=0, base=0, rel=0):
+        goals.append((state, base, rel))
+        run(self, state, base, rel)
+
+    monkeypatch.setattr(BoundedReach, "run", recorded)
+    for m in (100, 1000):
+        system, entry = gen_binary_constant(m)
+        nq = system.num_states
+        for d in range(1, 6):
+            window = sum(1 << (k * d) for k in range(nq + 1))  # n0, n0 + d, ..., cap
+            for k in range(nq + 2):
+                query = ResidueQuery(system, entry, m - k * d, d)
+                assert query.cap - m == (nq - k) * d
+                answer, table = residue_reachable(query)
+                assert goals.pop() == (entry, query.n0, window)
+                assert answer, (m, d, k)
+                assert ("_closure" in vars(table)) == (k > nq), (m, d, k)
+                if d > 1:  # m is not congruent to n0 + 1
+                    assert not residue_reachable(ResidueQuery(system, entry, query.n0 + 1, d))[0], (m, d, k)
