@@ -169,17 +169,14 @@ def _cyclic_states(system: Bvass1, states: Iterable[int]) -> list[int]:
 # fixpoint engine
 
 
-# Width cap of one block of packed pump rows, in bits.  Measured with
-# Python 3.11 on a 2-CPU host.  On the first 4,000 dense-random operations
-# of seed 1 (B <= 27, rows at most 1,512 bits wide) the 126 step-3 queries
-# took 2.1 s at one row per block, 0.53 s at 512 bits and 0.35-0.41 s from
-# 1,024 bits on, where every state's rows fit one block.  On the parity
-# system (state q / state p / final q / unary q -1 p / unary p -1 q) at
-# n = 1001, whose 2,012-bit rows gain a bit or two per event, two rows per
-# block (4,096 bits) took 2.2 s instead of 3.3 s but peaked at 260 MB
-# instead of 237 MB: its log keeps a million entries, and each packed entry
-# is an int as wide as the rows below its bits.  2,048 bits keeps such
-# wide rows one to a block, the memory of one table per context.
+# Width cap of one block of packed pump rows, in bits; only the pump fixpoint
+# (run_query's step 4, run_batch) builds blocks.  Python 3.11, 2-CPU host,
+# medians of 3 resp. 8 runs: run_batch at n = |Q| on the first 300
+# dense-random systems of seed 1 pumps in 9.8 s at one row per block, 2.9 s
+# at 512 bits, 2.1 s at 1,024 and 1.3 s from 2,048 on, where every state's
+# rows (B <= 27) fit one block; big-certificate's 96 doubling-hub queries
+# (first 672 operations) pump in 29, 12, 11 and 11 ms, and in 9 ms at 4,096
+# bits: 0.02 ms a query, too little to widen the blocks for.
 _BLOCK_BITS = 2048
 
 
@@ -257,20 +254,19 @@ class _Row:
 class FixpointTables:
     """Least fixpoint of the reach and path tables for one bound.
 
-    Build it through run_query or run_batch.  The reach tables are a
-    justified ``BoundedReach`` kernel under the bound, and it runs first,
-    before any pump context exists: run_query runs it until the query is
-    answered or it saturates, run_batch until it saturates.  The
-    constructor runs nothing.  ``pump`` then activates the
-    contexts of some states on the same kernel and resumes the fixpoint:
-    the pump rules add to the kernel, its queue and clock carry the path
-    events too, and the residue cache, budget and reach window are the
-    ones the kernel had.  The constructor pumps nothing: run_batch pumps
-    every cyclic state, run_query the cone's when steps 1 and 2 leave the
-    query open.  A pumped state's contexts are rows of the packed
-    ``_Block`` tables in ``blocks``, and ``contexts`` holds one ``_Row``
-    view per context, indexed as the pump rules on the reach table name
-    them.
+    Build it through run_query or run_batch; the constructor runs
+    nothing.  The reach tables are a justified ``BoundedReach`` kernel
+    under the bound, and it runs first, before any pump context exists:
+    run_query runs it until the query is answered or it saturates,
+    run_batch until it saturates.  ``pump`` then activates the contexts of
+    some states on the same kernel and resumes the fixpoint, its queue and
+    clock carrying the path events too: run_batch pumps every cyclic
+    state, run_query the cone's when steps 1 to 3 leave the query open.
+    A pumped state's contexts are rows of the packed ``_Block`` tables in
+    ``blocks``, and ``contexts`` holds one ``_Row`` view per context,
+    indexed as the pump rules on the reach table name them.  Coverability
+    (each state's top leaf counter, each modulus-1 probe) is decided by
+    ``residue_cache``, which every other residue probe goes to as well.
 
     ``holds(q, n)`` answers reachability for n up to ``complete_to`` when
     every cyclic state of q's cone has been pumped, as run_batch does for
@@ -286,8 +282,6 @@ class FixpointTables:
         self.complete_to = complete_to
         self.budget = budget = Budget() if budget is None else budget
         self.residue_cache = ResidueCache(system, budget)
-        # the largest coverable values at bound + 1, built by ``max_coverable``
-        self.max_coverable_values: list[int] = []
         # the closed reach profile that refuted the query, if one did
         self.profile: Profile | None = None
 
@@ -304,12 +298,6 @@ class FixpointTables:
         self.reach_masks = self.reach.masks
         self.reason = KERNEL
 
-    def max_coverable(self) -> list[int]:
-        """Per state, the largest coverable value up to bound + 1 (-1: none)."""
-        if not self.max_coverable_values:
-            self.max_coverable_values = self.residue_cache.max_coverable(self.bound + 1)
-        return self.max_coverable_values
-
     def pump(self, states: list[int]) -> None:
         """Activate the pump contexts of ``states``, the cyclic states
         (``_cyclic_states``), and resume the fixpoint.  Each state gets one
@@ -319,7 +307,7 @@ class FixpointTables:
         assert not self.reach.queue, "pump needs a saturated kernel"
         self.reason = PUMP_FIXPOINT
         nq = self.system.num_states
-        top_of = self.max_coverable()
+        top_of = self.residue_cache.max_coverable(self.bound + 1)
         stride = 2 * self.bound + 2
         per_block = max(1, _BLOCK_BITS // stride)
         for s in states:
@@ -334,13 +322,6 @@ class FixpointTables:
                 seed = sum(1 << (r * (stride + 1) + m_lo) for r in range(rows))
                 self._add_p(block, s, seed, ("self",))
         self._run()
-
-    # -- residue probes
-
-    def _probe(self, state: int, n0: int, d: int) -> bool:
-        if d == 1:
-            return n0 <= self.max_coverable_values[state]
-        return self.residue_cache.query(state, n0, d)
 
     # -- rule application
 
@@ -386,7 +367,7 @@ class FixpointTables:
                 continue  # an earlier row of this event added it
             block.probed |= low
             m_star = block.m_lo + r
-            if self._probe(s, m_star, m_star - n):
+            if self.residue_cache.query(s, m_star, m_star - n):
                 reach.add(s, 1 << n, ("pump", block.first + r, rule))
         # bits probed positive earlier are already reach bits; nothing to redo
 
@@ -467,22 +448,18 @@ def _tail(mask: int, window: int) -> tuple[int, int] | None:
 
 def _closed(system: Bvass1, profile: Profile) -> bool:
     """Does ``profile`` hold 0 at its final states and close under the rules
-    of its states?  Tested with masks on the window [0, W], which
-    ``Profile`` shows is enough; every state a rule of a masked state
-    reaches must be masked."""
-    t, p, masks = profile.threshold, profile.period, profile.masks
-    width = profile.window + 1
-    full = (1 << width) - 1
-    ext = {q: _periodic(m, t, p, width) for q, m in masks.items()}
-    if any(not ext[f] & 1 for f in system.finals if f in ext):
-        return False
-    for src, z, target in system.unary:
-        if src in ext and _shift_parent(ext[target], z) & full & ~ext[src]:
-            return False
-    for src, left, right in system.branching:
-        if src in ext and _sumset(ext[left], ext[right]) & full & ~ext[src]:
-            return False
-    return True
+    of its states?  A ``BoundedReach`` under its window W (``Profile``
+    shows [0, W] is enough), seeded with the extended masks, adds 0 at
+    each final state and applies the rules clipped to [0, W]: closed means
+    no mask of the profile's states grows.  Every state a rule of a masked
+    state reaches must be masked."""
+    t, p = profile.threshold, profile.period
+    ext = {q: _periodic(m, t, p, profile.window + 1) for q, m in profile.masks.items()}
+    kernel = BoundedReach(system, profile.window)
+    for q, m in ext.items():
+        kernel.add(q, m, ("profile",))
+    kernel.run()
+    return all(kernel.masks[q] == m for q, m in ext.items())
 
 
 def reach_profile(system: Bvass1, cone: set[int], budget: Budget) -> Profile | None:
@@ -533,10 +510,10 @@ def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables
        is the answer, and its certificate has no pumps;
     2. otherwise the answer is NO when no state of q's cone lies on a
        cycle (no context could add a bit), or when n is above q's largest
-       coverable value at B + 1, the values the contexts read;
+       coverable value at B + 1, kept by ``residue_cache`` for the contexts;
     3. otherwise the answer is NO when a closed reach profile of the cone
-       (``reach_profile``) lacks n at q; the tables keep it as
-       ``profile``;
+       (``reach_profile``, closed as ``_closed``'s kernel finds) lacks n
+       at q; the tables keep it as ``profile``;
     4. only then are the cone's contexts activated and the fixpoint
        resumed.
 
@@ -560,8 +537,8 @@ def run_query(query: ReachQuery, budget: Budget | None = None) -> FixpointTables
     cyclic = _cyclic_states(system, cone)
     if not cyclic:
         tables.reason = NO_CYCLE
-    elif n > tables.max_coverable()[state]:
-        tables.reason = f"{ABOVE_COVERABLE} {tables.max_coverable_values[state]}"
+    elif n > (top := tables.residue_cache.max_coverable(tables.bound + 1)[state]):
+        tables.reason = f"{ABOVE_COVERABLE} {top}"
     elif (profile := reach_profile(system, cone, tables.budget)) and not profile.holds(state, n):
         tables.reason = f"{PROFILE} {profile.threshold} {profile.period}"
         tables.profile = profile

@@ -436,12 +436,17 @@ class ResidueCache:
     Keying tables by (d, W) collapses the probe storm the reachability
     engine produces into a few dozen table builds.  The tables are charged
     to one budget, a fresh ``Budget()`` when none is given.
+
+    Coverability is the modulus-1 question: the cache keeps the values of
+    the widest clamp ``max_coverable`` read, and answers (q, n0, 1), n0 at
+    most that clamp, as n0 <= q's value with no table, exact by its lemma.
     """
 
     def __init__(self, system: Bvass1, budget: Budget | None = None):
         self.system = system
         self.budget = Budget() if budget is None else budget
         self._tables: dict[tuple[int, int], ResidueTable] = {}
+        self._clamp, self._coverable = -1, []  # the widest clamp max_coverable read, and its values
 
     def _table(self, state: int, n0: int, d: int) -> ResidueTable:
         """The table at n0's window base, built on first use."""
@@ -455,6 +460,8 @@ class ResidueCache:
         """The residue question (state, n0, d); bad arguments raise as ``ResidueQuery`` does."""
         if d < 1 or n0 < 0 or not 0 <= state < self.system.num_states:
             ResidueQuery(self.system, state, n0, d)  # raises its ValueError
+        if d == 1 and n0 <= self._clamp:
+            return n0 <= self._coverable[state]
         return self._table(state, n0, d).answers(state, n0)
 
     def max_coverable(self, clamp: int) -> list[int]:
@@ -474,10 +481,15 @@ class ResidueCache:
         stay within m + |Q| - 1, below the table's cap clamp + |Q|: S
         holds m.
         """
+        if clamp == self._clamp:
+            return self._coverable
         if not self.system.num_states:
             return []
         table = self._table(0, clamp, 1)
-        return [clamp if table.answers(q, clamp) else s.bit_length() - 1 for q, s in enumerate(table.s_masks)]
+        values = [clamp if table.answers(q, clamp) else s.bit_length() - 1 for q, s in enumerate(table.s_masks)]
+        if clamp > self._clamp:
+            self._clamp, self._coverable = clamp, values
+        return values
 
     @property
     def tables_built(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,8 @@ from bvass1.model import (
 from bvass1.reach import ReachQuery, _closure, _cyclic_states, extract_certificate, run_batch, run_query
 
 from helpers import (
+    B2_TEXT,
+    PUMP_TEXT,
     b2,
     naive_check_certificate_report,
     naive_classify_nodes,
@@ -192,6 +195,30 @@ def test_checker_report_matches_naive_on_deep_pumped_chain():
         assert check_certificate_report(system, cert, claimed) == expected, anchor
         verdicts.add(expected[1].split(" ")[0])
     assert verdicts == {"ok", "recorded"}
+
+
+def test_checker_refuses_clashing_pumps_that_pass_every_other_clause():
+    # s(0) climbs to s(2), which splits into two s(1) leaves; both are
+    # pumped from the root, so their pumping segments share the climb
+    system = parse_bvass(PUMP_TEXT)
+    s = system.state_id("s")
+    labels = {"": Config(s, 0), "0": Config(s, 1), "00": Config(s, 2), "000": Config(s, 1), "001": Config(s, 1)}
+    cert = Certificate(PartialTree(labels), {leaf: PumpRecord("", 1) for leaf in ("000", "001")})
+    expected = (False, "pumping segments are not exclusive")
+    assert naive_check_certificate_report(system, cert, Config(s, 0)) == expected
+    assert check_certificate_report(system, cert, Config(s, 0)) == expected
+
+
+def test_checker_refuses_a_graft_labelled_unlike_its_def():
+    # the text format labels a graft from its def, so only a certificate
+    # built in memory can disagree: q_2 reaches 4 alone, and 5 is claimed
+    system = parse_bvass(B2_TEXT)
+    cert = certificate_from_text(system, "def 0 q_f 0\ndef 1 q_0 1 0\ndef 2 q_1 2 1 1\ndef 3 q_2 4 2 2\ne = 3\n")
+    lying = replace(cert, tree=PartialTree({"": Config(system.state_id("q_2"), 5)}))
+    assert check_certificate_report(system, cert, Config(system.state_id("q_2"), 4)) == (True, "ok")
+    assert check_certificate_report(system, lying, Config(system.state_id("q_2"), 5)) == (
+        False, "graft at root is labelled unlike def 3"
+    )
 
 
 def test_deep_path_certificate_checks_fast():

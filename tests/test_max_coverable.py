@@ -111,9 +111,13 @@ def test_engine_probe_matches_coverable():
     assert len(systems) > 20
     for system in systems:
         tables = run_batch(system, 1)
+        cache = tables.residue_cache
+        built = cache.tables_built
         for q in range(system.num_states):
             for n0 in range(tables.bound + 1):
-                assert tables._probe(q, n0, 1) == coverable(system, q, n0)
+                assert cache.query(q, n0, 1) == coverable(system, q, n0)
+        # read off the values the pump contexts kept, as their probes are
+        assert cache.tables_built == built
 
 
 def test_gain_graph_profile_matches_naive_scan():
@@ -123,12 +127,47 @@ def test_gain_graph_profile_matches_naive_scan():
 
 
 def test_engine_profile_matches_naive_scan_at_bound_plus_one():
-    # only pump contexts read the values, so tables without any leave them empty
+    # only pump contexts read the values, so tables without any build no table;
+    # tables with some kept the values, and a second read builds none
     systems = random_instances()[::10] + _family_systems()[::2] + _random_systems()[::4]
     for i, system in enumerate(systems):
         tables = run_batch(system, i % 4)
-        expected = naive_max_coverable(system, tables.bound + 1) if _cyclic_states(system, range(system.num_states)) else []
-        assert tables.max_coverable_values == expected
+        cache = tables.residue_cache
+        if not _cyclic_states(system, range(system.num_states)):
+            assert cache.tables_built == 0
+            continue
+        built = cache.tables_built
+        assert cache.max_coverable(tables.bound + 1) == naive_max_coverable(system, tables.bound + 1)
+        assert cache.tables_built == built
+
+
+def test_cache_reads_modulus_1_questions_off_the_kept_values():
+    # after max_coverable(c), (q, n0, 1) with n0 <= c is answered from the
+    # values with no table; c + 1 needs one; a narrower clamp read later keeps
+    # the wider reading; other moduli still go to their tables
+    kept = 0
+    for system in _family_systems() + _random_systems():
+        nq = system.num_states
+        clamp, narrow = nq + 1, nq // 2
+        cache, fresh = ResidueCache(system), ResidueCache(system)
+        cache.max_coverable(clamp)
+        built = cache.tables_built
+        for n0 in range(clamp + 1):
+            for q in range(nq):
+                assert cache.query(q, n0, 1) == fresh.query(q, n0, 1), (system, q, n0)
+                kept += 1
+        assert cache.tables_built == built
+        assert cache.max_coverable(narrow) == fresh.max_coverable(narrow)
+        built = cache.tables_built
+        for n0 in range(clamp + 1):
+            assert [cache.query(q, n0, 1) for q in range(nq)] == [fresh.query(q, n0, 1) for q in range(nq)]
+        assert cache.tables_built == built
+        assert [cache.query(q, clamp + 1, 1) for q in range(nq)] == [fresh.query(q, clamp + 1, 1) for q in range(nq)]
+        assert cache.tables_built == built + 1
+        for d in (2, 3):
+            for n0 in range(clamp + 1):
+                assert [cache.query(q, n0, d) for q in range(nq)] == [fresh.query(q, n0, d) for q in range(nq)]
+    assert kept > 5000, kept
 
 
 def test_every_emitted_witness_passes_the_checker():

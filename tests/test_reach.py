@@ -572,13 +572,15 @@ def test_kernel_answers_and_refutations_build_no_context():
     assert (yes.reason, no.reason) == ("kernel", "above largest coverable value 16")
     assert yes.contexts == no.contexts == []
     assert not extract_certificate(ReachQuery(system, 0, 7), yes).pumps
-    # the kernel YES reads no largest coverable values; the refutation reads
-    # them and stops there
-    assert yes.max_coverable_values == [] and no.max_coverable_values[0] == 16
+    # the kernel YES reads no largest coverable values, so builds no table;
+    # the refutation reads them, one table, and stops there
+    assert yes.residue_cache.tables_built == 0 and no.residue_cache.tables_built == 1
+    assert no.residue_cache.max_coverable(no.bound + 1)[0] == 16 and no.residue_cache.tables_built == 1
     assert yes.profile is None and no.profile is None
     acyclic = run_query(ReachQuery(system, system.state_id("q_4"), 15))  # no cycle below q_4
     assert not acyclic.holds(system.state_id("q_4"), 15)
-    assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == acyclic.max_coverable_values == []
+    assert acyclic.reason == "no cyclic state in cone" and acyclic.contexts == []
+    assert acyclic.residue_cache.tables_built == 0
     pumped = run_query(ReachQuery(system, 0, 0))  # the climb to 16 does not fit under B = 14
     assert pumped.holds(0, 0) and pumped.reason == "pump fixpoint" and pumped.contexts
 
